@@ -4,9 +4,16 @@ Candidate event angles (validity and vertex-pair alignments) cut
 [0, 180) into intervals.  Inside each interval the tour structure is
 expected to persist; samples are screened for hidden structure changes
 and length jumps, which are bisected down to events of their own.
-Surviving clean intervals get local golden-section refinement, and flat
-zero-length intervals compete by width with the midpoint as
-representative.
+
+The scan records each local minimum of a clean interval as a bracket
+together with the solve it already holds there.  Once every interval
+is scanned, a flat zero-length interval, if any exists, wins outright:
+flat intervals compete by width with the midpoint as representative and
+no bracket is refined.  Otherwise each bracket gets a golden-section
+search on the structure frozen at its sample, which costs a closed form
+per angle instead of a solve; an angle the frozen structure cannot
+reach is solved in full and the structure re-frozen there.  The
+argmin of each bracket is confirmed by a full solve.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from .geom import (
     Polygon,
     Segment,
     normalize_deg,
+    reflect_point,
     segments_properly_cross,
 )
 from .sleeve import TAG_TOL, Tour
@@ -208,6 +216,8 @@ class FrozenStructure:
     Stable anchors stay put; a far-endpoint touch follows the gate
     chord's intersection with its frozen polygon edge; interior moving
     anchors re-solve as perfect reflections on the rotated chord lines.
+    ``colors`` holds the color of every reflex vertex at the freeze
+    angle, so that an evaluation past a Validity event is refused.
     """
 
     polygon: Polygon
@@ -215,13 +225,20 @@ class FrozenStructure:
     base_length: float
     kind: str  # "point" or "tour"
     anchors: Tuple[FrozenAnchor, ...] = ()
+    colors: Tuple[VertexClass, ...] = ()
+
+
+def _reflex_colors(P: Polygon, ux: float, uy: float) -> Tuple[VertexClass, ...]:
+    return tuple(_classify_direction(P, vi, ux, uy) for vi in P.reflex_indices)
 
 
 def freeze_structure(P: Polygon, res: SolveResult) -> FrozenStructure:
     tour = res.tour
-    if len(tour.cycle) == 1:
-        return FrozenStructure(P, res.theta.degrees, tour.length, "point")
     u = res.theta.direction()
+    colors = _reflex_colors(P, u.x, u.y)
+    if len(tour.cycle) == 1:
+        return FrozenStructure(P, res.theta.degrees, tour.length, "point",
+                               colors=colors)
     anchors: List[FrozenAnchor] = []
     for p, t in zip(tour.cycle, tour.tags):
         if t.kind == "stable":
@@ -241,7 +258,7 @@ def freeze_structure(P: Polygon, res: SolveResult) -> FrozenStructure:
         else:
             anchors.append(FrozenAnchor("interior", p, v, edge, sign))
     return FrozenStructure(P, res.theta.degrees, tour.length, "tour",
-                           tuple(anchors))
+                           tuple(anchors), colors)
 
 
 def _far_endpoint(anchor: FrozenAnchor, ux: float, uy: float) -> Point:
@@ -269,39 +286,38 @@ def _far_endpoint(anchor: FrozenAnchor, ux: float, uy: float) -> Point:
     return Point(v.x + t * dx, v.y + t * dy)
 
 
-def _reflect_across_line(p: Point, a: Point, d: Point) -> Point:
-    # d must be a unit vector
-    wx = p.x - a.x
-    wy = p.y - a.y
-    proj = wx * d.x + wy * d.y
-    fx = a.x + proj * d.x
-    fy = a.y + proj * d.y
-    return Point(2.0 * fx - p.x, 2.0 * fy - p.y)
-
-
-def _line_intersection_param(a: Point, b: Point, q: Point, d: Point) -> float:
-    """Param t on segment a->b where it meets the line through q along d."""
+def _line_intersection_param(a: Point, b: Point, mirror: Segment) -> float:
+    """Param t on segment a->b where it meets the mirror's line."""
+    q = mirror.a
+    dx = mirror.b.x - q.x
+    dy = mirror.b.y - q.y
     rx = b.x - a.x
     ry = b.y - a.y
-    denom = rx * d.y - ry * d.x
+    denom = rx * dy - ry * dx
     if abs(denom) <= TAU_ORIENT * 1e-3:
         raise StructureInfeasibleError("unfolded run is parallel to a chord "
                                        "line")
-    return ((q.x - a.x) * d.y - (q.y - a.y) * d.x) / denom
+    return ((q.x - a.x) * dy - (q.y - a.y) * dx) / denom
 
 
 def evaluate_close_tour(S: FrozenStructure, eps_deg: float) -> float:
     """Tour length of the frozen structure at theta + eps_deg.
 
     Raises StructureInfeasibleError when the structure cannot exist at
-    the perturbed angle, which means some event sits in between.
+    the perturbed angle, which means some event sits in between.  A
+    reflex vertex whose color differs from its color at the freeze
+    angle marks a Validity event in between.
     """
-    if S.kind == "point":
-        return 0.0
     phi = S.theta_deg + eps_deg
     r = math.radians(phi)
     ux = math.cos(r)
     uy = math.sin(r)
+    if _reflex_colors(S.polygon, ux, uy) != S.colors:
+        raise StructureInfeasibleError(
+            f"a reflex vertex changes color between {S.theta_deg:.6f} and "
+            f"{phi:.6f} degrees")
+    if S.kind == "point":
+        return 0.0
     u = Point(ux, uy)
 
     known: List[Optional[Point]] = []
@@ -348,38 +364,31 @@ def _run_length(S: FrozenStructure, A: Point, run: Sequence[int], B: Point,
         return math.dist(A, B)
     # unfold: mirror k is the image of chord line k under the reflections
     # accumulated so far, and B is pushed through the whole stack
-    cur_pts = [(S.anchors[i].gate_vertex, Point(S.anchors[i].gate_vertex.x + u.x,
-                                                S.anchors[i].gate_vertex.y + u.y))
-               for i in run]
-    mirrors: List[Tuple[Point, Point]] = []
-    for k in range(len(run)):
-        a_pt, b_pt = cur_pts[k]
-        d = Point(b_pt.x - a_pt.x, b_pt.y - a_pt.y)
-        norm = math.hypot(d.x, d.y)
-        d = Point(d.x / norm, d.y / norm)
-        mirrors.append((a_pt, d))
-        for k2 in range(k + 1, len(cur_pts)):
-            p1, p2 = cur_pts[k2]
-            cur_pts[k2] = (_reflect_across_line(p1, a_pt, d),
-                           _reflect_across_line(p2, a_pt, d))
+    mirrors: List[Segment] = []
+    for i in run:
+        v = S.anchors[i].gate_vertex
+        m = Segment(v, Point(v.x + u.x, v.y + u.y))
+        for prev in mirrors:
+            m = Segment(reflect_point(m.a, prev), reflect_point(m.b, prev))
+        mirrors.append(m)
     B_img = B
-    for a_m, d_m in mirrors:
-        B_img = _reflect_across_line(B_img, a_m, d_m)
+    for m in mirrors:
+        B_img = reflect_point(B_img, m)
 
     length = math.dist(A, B_img)
     # feet of the straight unfolded segment, checked against chord extents
     prev_t = 0.0
     feet_world: List[Point] = []
-    for k, (a_m, d_m) in enumerate(mirrors):
-        t = _line_intersection_param(A, B_img, a_m, d_m)
+    for k, m in enumerate(mirrors):
+        t = _line_intersection_param(A, B_img, m)
         if t < prev_t - 1e-9 or t > 1.0 + 1e-9:
             raise StructureInfeasibleError("reflection feet leave order on "
                                            "the unfolded segment")
         prev_t = max(prev_t, t)
         foot = Point(A.x + t * (B_img.x - A.x), A.y + t * (B_img.y - A.y))
         # fold the foot back to the original chord line
-        for a_b, d_b in reversed(mirrors[:k]):
-            foot = _reflect_across_line(foot, a_b, d_b)
+        for back in reversed(mirrors[:k]):
+            foot = reflect_point(foot, back)
         feet_world.append(foot)
     for k, idx in enumerate(run):
         lo, hi = _chord_param_bounds(S, idx, u)
@@ -393,56 +402,32 @@ def _run_length(S: FrozenStructure, A: Point, run: Sequence[int], B: Point,
 
 
 def _all_interior_length(S: FrozenStructure, u: Point) -> float:
+    """Closed tour that only reflects, off chord lines parallel to u.
+
+    The same unfolding as ``_run_length``: reflecting across lines
+    parallel to u keeps the unfolded tour's component along u, so a tour
+    that closes runs across the chords at right angles.  Its length is
+    the normal distance between consecutive chord lines, summed, and
+    all its vertices share one coordinate along u, which must lie on
+    every chord.
+    """
     anchors = S.anchors
-    if len(anchors) == 2:
-        a1, a2 = anchors
-        v1, v2 = a1.gate_vertex, a2.gate_vertex
-        dist = abs(u.x * (v2.y - v1.y) - u.y * (v2.x - v1.x))
-        lo1, hi1 = _chord_param_bounds(S, 0, u)
-        lo2, hi2 = _chord_param_bounds(S, 1, u)
-        # chords run in opposite directions; express both on the u axis
-        s1 = anchors[0].ray_sign
-        s2 = anchors[1].ray_sign
-        p1 = (v1.x * u.x + v1.y * u.y)
-        p2 = (v2.x * u.x + v2.y * u.y)
-        i1 = sorted((p1 + s1 * lo1, p1 + s1 * hi1))
-        i2 = sorted((p2 + s2 * lo2, p2 + s2 * hi2))
-        if min(i1[1], i2[1]) < max(i1[0], i2[0]) - 1e-9:
-            raise StructureInfeasibleError("parallel chords no longer "
-                                           "overlap; the doubled segment "
-                                           "tour breaks")
-        return 2.0 * dist
-    # three or more chords: cyclic alternating projection onto the lines
-    pts = [a.point for a in anchors]
-    lines = [(a.gate_vertex, u) for a in anchors]
-    scale = max(1.0, S.polygon.diameter)
-    for _ in range(200):
-        delta = 0.0
-        for i, (q, d) in enumerate(lines):
-            prev = pts[(i - 1) % len(pts)]
-            nxt = pts[(i + 1) % len(pts)]
-            ref = _reflect_across_line(prev, q, d)
-            new = _line_param_point(ref, nxt, q, d)
-            delta = max(delta, math.dist(pts[i], new))
-            pts[i] = new
-        if delta <= 1e-13 * scale:
-            break
-    for i, a in enumerate(anchors):
-        lo, hi = _chord_param_bounds(S, i, u)
-        v = a.gate_vertex
-        t = ((pts[i].x - v.x) * u.x + (pts[i].y - v.y) * u.y) * a.ray_sign
-        if t < lo - 1e-7 or t > hi + 1e-7:
-            raise StructureInfeasibleError("a moving vertex slides off its "
-                                           "gate chord")
     total = 0.0
-    for i in range(len(pts)):
-        total += math.dist(pts[i], pts[(i + 1) % len(pts)])
+    lows: List[float] = []
+    highs: List[float] = []
+    for i, a in enumerate(anchors):
+        v = a.gate_vertex
+        w = anchors[i - 1].gate_vertex
+        total += abs(u.x * (v.y - w.y) - u.y * (v.x - w.x))
+        lo, hi = _chord_param_bounds(S, i, u)
+        p = v.x * u.x + v.y * u.y
+        ends = sorted((p + a.ray_sign * lo, p + a.ray_sign * hi))
+        lows.append(ends[0])
+        highs.append(ends[1])
+    if min(highs) < max(lows) - 1e-9:
+        raise StructureInfeasibleError("parallel chords no longer overlap; "
+                                       "the tour across them breaks")
     return total
-
-
-def _line_param_point(a: Point, b: Point, q: Point, d: Point) -> Point:
-    t = _line_intersection_param(a, b, q, d)
-    return Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +456,9 @@ class _ScanState:
     intervals: List[Tuple[float, float]] = field(default_factory=list)
     candidates: List[Tuple[float, float]] = field(default_factory=list)
     flats: List[Tuple[float, float]] = field(default_factory=list)
+    # local minima left for refinement: (a, b, sample angle, sample solve)
+    brackets: List[Tuple[float, float, float, SolveResult]] = field(
+        default_factory=list)
     notes: List[str] = field(default_factory=list)
 
 
@@ -530,13 +518,43 @@ def _bisect_change(P: Polygon, a: float, res_a: SolveResult, b: float,
     return 0.5 * (lo + hi), _classify_split(P, res_lo, res_hi)
 
 
-def _refine_minimum(P: Polygon, a: float, b: float,
-                    tol: float) -> Optional[Tuple[float, float]]:
+def _frozen_at(P: Polygon, x: float,
+               res: SolveResult) -> Tuple[FrozenStructure, float]:
+    """Structure frozen from a solve made for sweep angle x.
+
+    Also returns the sweep angle the solve actually ran at: x plus any
+    nudge ``_solve_robust`` applied, kept on the sweep's unwrapped
+    scale so that offsets from it stay small across the 180 seam.
+    """
+    return (freeze_structure(P, res),
+            x + math.remainder(res.theta.degrees - x, 180.0))
+
+
+def _refine_minimum(P: Polygon, a: float, b: float, x0: float,
+                    res0: SolveResult, tol: float,
+                    notes: List[str]) -> Optional[Tuple[float, float]]:
+    """Golden-section minimum over (a, b) on the structure frozen at x0.
+
+    An angle the frozen structure cannot reach is solved in full, noted,
+    and the structure re-frozen there.  The returned length comes from
+    a full solve at the argmin.
+    """
     gr = (math.sqrt(5.0) - 1.0) / 2.0
+    bracket = f"bracket ({a:.6f}, {b:.6f}) deg"
+    S, base = _frozen_at(P, x0, res0)
 
     def f(x: float) -> float:
+        nonlocal S, base
+        try:
+            return evaluate_close_tour(S, x - base)
+        except StructureInfeasibleError as exc:
+            notes.append(f"frozen refine on {bracket} fell back to a full "
+                         f"solve at {x:.6f}: {exc}")
         r = _solve_robust(P, x)
-        return math.inf if r is None else r.tour.length
+        if r is None:
+            return math.inf
+        S, base = _frozen_at(P, x, r)
+        return r.tour.length
 
     x1 = b - gr * (b - a)
     x2 = a + gr * (b - a)
@@ -553,10 +571,10 @@ def _refine_minimum(P: Polygon, a: float, b: float,
             f2 = f(x2)
         iters += 1
     x = 0.5 * (a + b)
-    fx = f(x)
-    if math.isinf(fx):
+    r = _solve_robust(P, x)
+    if r is None:
         return None
-    return (x, fx)
+    return (x, r.tour.length)
 
 
 def _scan_interval(P: Polygon, lo: float, hi: float, cfg: SweepConfig,
@@ -612,9 +630,31 @@ def _scan_interval(P: Polygon, lo: float, hi: float, cfg: SweepConfig,
     for _, i in minima[:16]:
         a = pts[i - 1][0] if i > 0 else lo + delta
         b = pts[i + 1][0] if i + 1 < len(pts) else hi - delta
-        refined = _refine_minimum(P, a, b, cfg.refine_tol_deg)
+        state.brackets.append((a, b) + pts[i])
+
+
+def _sweep(P: Polygon, spans: Sequence[Tuple[float, float]],
+           cfg: SweepConfig) -> Tuple[_ScanState, float, float]:
+    """Scan every span, then refine; returns the best angle and length.
+
+    A flat interval always wins, so the brackets are refined only when
+    the scan found none.
+    """
+    state = _ScanState()
+    for lo, hi in spans:
+        _scan_interval(P, lo, hi, cfg, 0, state)
+    if state.flats:
+        _, mid = max(state.flats)
+        return state, mid, 0.0
+    for a, b, x0, res0 in state.brackets:
+        refined = _refine_minimum(P, a, b, x0, res0, cfg.refine_tol_deg,
+                                  state.notes)
         if refined is not None:
             state.candidates.append(refined)
+    if not state.candidates:
+        raise GeometryError("no solvable angle in the sweep")
+    best = min(state.candidates, key=lambda c: (c[1], c[0]))
+    return state, best[0], best[1]
 
 
 def minimize_interval(P: Polygon, lo: Union[Angle, float],
@@ -631,16 +671,8 @@ def minimize_interval(P: Polygon, lo: Union[Angle, float],
         hi_deg += 180.0
     if hi_deg <= lo_deg:
         raise GeometryError("empty angle interval")
-    cfg = config or SweepConfig()
-    state = _ScanState()
-    _scan_interval(P, lo_deg, hi_deg, cfg, 0, state)
-    if state.flats:
-        width, mid = max(state.flats)
-        return Angle(mid), 0.0
-    if not state.candidates:
-        raise GeometryError("no solvable angle in the interval")
-    best = min(state.candidates, key=lambda c: (c[1], c[0]))
-    return Angle(best[0]), best[1]
+    _, theta, length = _sweep(P, [(lo_deg, hi_deg)], config or SweepConfig())
+    return Angle(theta), length
 
 
 def _merge_detected(base: Sequence[Event],
@@ -675,20 +707,9 @@ def optimize(P: Polygon, config: Optional[SweepConfig] = None) -> SweepReport:
     carries every event (enumerated and detected), the per-interval
     samples, and the final event-free intervals.
     """
-    cfg = config or SweepConfig()
     base_events = enumerate_candidate_events(P)
-    state = _ScanState()
-    for lo, hi in _interval_list(P, base_events):
-        _scan_interval(P, lo, hi, cfg, 0, state)
-
-    if state.flats:
-        _, best_theta = max(state.flats)
-        best_length = 0.0
-    else:
-        if not state.candidates:
-            raise GeometryError("sweep found no solvable angle")
-        best_theta, best_length = min(state.candidates,
-                                      key=lambda c: (c[1], c[0]))
+    state, best_theta, _ = _sweep(P, _interval_list(P, base_events),
+                                  config or SweepConfig())
     best_theta = normalize_deg(best_theta)
     best = _solve_robust(P, best_theta)
     if best is None:

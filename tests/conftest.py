@@ -1,5 +1,6 @@
-"""Shared fixtures: the four test polygons and a seeded random corpus."""
+"""Shared fixtures: the four test polygons and seeded polygon families."""
 
+import math
 import random
 
 import pytest
@@ -21,6 +22,12 @@ TOOTHGAP_PTS = [(0, 0), (6, 0), (6.5, 6), (7, 0), (12, 0), (12, 8), (10, 8),
 # single point covers everything on [90, 180)
 SPIRAL_PTS = [(0, 0), (10, 0), (10, 8), (2, 8), (2, 3), (4, 3), (4, 6),
               (8, 6), (8, 2), (0, 2)]
+
+# 1.75-turn square spiral corridor, 16 vertices of which 6 are reflex;
+# its tours have positive length at every angle
+SPIRAL_BASE = [(0, 0), (16, 0), (16, 14), (0, 14), (0, 4), (12, 4),
+               (12, 10), (4, 10), (4, 8), (10, 8), (10, 6), (2, 6),
+               (2, 12), (14, 12), (14, 2), (0, 2)]
 
 
 def make_polygon(pts):
@@ -50,6 +57,26 @@ def toothgap():
 @pytest.fixture(scope="session")
 def spiral():
     return make_polygon(SPIRAL_PTS)
+
+
+def spiral_corridor(seed: int):
+    """Spiral corridor: seed 0 is the base, others jitter and rotate it.
+
+    A positive seed draws an angle from U(0, 90) degrees, moves every
+    coordinate by U(-0.2, 0.2) and rotates the result about the origin.
+    The benchmark generates the same family; keep the two identical.
+    """
+    if seed == 0:
+        return [(float(x), float(y)) for x, y in SPIRAL_BASE]
+    rng = random.Random(seed)
+    a = math.radians(rng.uniform(0.0, 90.0))
+    c, s = math.cos(a), math.sin(a)
+    out = []
+    for x, y in SPIRAL_BASE:
+        x += rng.uniform(-0.2, 0.2)
+        y += rng.uniform(-0.2, 0.2)
+        out.append((c * x - s * y, s * x + c * y))
+    return out
 
 
 def corpus_polygon(seed: int) -> Polygon:

@@ -3,10 +3,14 @@ import math
 
 import pytest
 
-from monowatch import Angle, GeometryError, solve_theta
+from monowatch import Angle, GeometryError, rotor, solve_theta
+from monowatch.geom import Point, Segment
+from monowatch.oracle import dense_sweep
 from monowatch.rotor import (
     Event,
     EventType,
+    FrozenAnchor,
+    FrozenStructure,
     StructureInfeasibleError,
     SweepConfig,
     enumerate_candidate_events,
@@ -16,6 +20,39 @@ from monowatch.rotor import (
     optimize,
     structure_signature,
 )
+
+from conftest import make_polygon, spiral_corridor
+
+# best tour lengths of spiral-corridor seeds 0-3, all positive
+SPIRAL_BEST = {0: 32.00004204900216, 1: 12.167388781825078,
+               2: 12.118853679525888, 3: 32.00980913569557}
+
+
+def _counting(mp, name):
+    """Replace rotor.<name> with a wrapper that counts its calls."""
+    calls = [0]
+    fn = getattr(rotor, name)
+
+    def wrapper(*args, **kwargs):
+        calls[0] += 1
+        return fn(*args, **kwargs)
+
+    mp.setattr(rotor, name, wrapper)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def spiral_sweeps():
+    """Seed -> (polygon, report, full solves, frozen evaluations)."""
+    out = {}
+    with pytest.MonkeyPatch.context() as mp:
+        solves = _counting(mp, "solve_theta")
+        evals = _counting(mp, "evaluate_close_tour")
+        for seed in SPIRAL_BEST:
+            P = make_polygon(spiral_corridor(seed))
+            solves[0] = evals[0] = 0
+            out[seed] = (P, optimize(P), solves[0], evals[0])
+    return out
 
 
 def _type_counts(events):
@@ -69,6 +106,64 @@ def test_frozen_structure_detects_slide_off(double):
     S = freeze_structure(double, solve_theta(double, Angle(165.8)))
     with pytest.raises(StructureInfeasibleError):
         evaluate_close_tour(S, 0.2)
+
+
+def _interior(x, y0, y1):
+    """Interior anchor on the vertical chord from (x, y0) to the line y1."""
+    edge = Segment(Point(x - 5.0, y1), Point(x + 5.0, y1))
+    sign = 1.0 if y1 > y0 else -1.0
+    return FrozenAnchor("interior", Point(x, 0.5 * (y0 + y1)), Point(x, y0),
+                        edge, sign)
+
+
+def test_frozen_tour_of_interior_reflections(square):
+    # four parallel chords overlapping on y in [1.5, 3]: the closed tour
+    # runs across them at right angles, 3 + 2 + 3 + 4 long at 90 degrees
+    chords = [(0.0, 0.0, 4.0), (3.0, 5.0, 1.0), (1.0, 0.5, 4.5),
+              (4.0, 3.0, 1.5)]
+    S = FrozenStructure(square, 90.0, 12.0, "tour",
+                        tuple(_interior(*c) for c in chords))
+    assert evaluate_close_tour(S, 0.0) == pytest.approx(12.0, abs=1e-12)
+    r = math.radians(91.0)
+    nx, ny = -math.sin(r), math.cos(r)
+    xs = [(x, y0) for x, y0, _ in chords]
+    tilted = sum(abs(nx * (xs[i][0] - xs[i - 1][0])
+                     + ny * (xs[i][1] - xs[i - 1][1])) for i in range(4))
+    assert evaluate_close_tour(S, 1.0) == pytest.approx(tilted, abs=1e-12)
+    apart = FrozenStructure(square, 90.0, 12.0, "tour",
+                            S.anchors[:3] + (_interior(4.0, 4.6, 6.0),))
+    with pytest.raises(StructureInfeasibleError, match="overlap"):
+        evaluate_close_tour(apart, 0.0)
+
+
+def test_frozen_structure_refuses_past_validity_event():
+    # spiral seed 1 has its best tour just below the Validity event of
+    # reflex vertex 14 and edge 14; past it, without the color check,
+    # the frozen length reads 12.08 where a solve gives 55.86
+    P = make_polygon(spiral_corridor(1))
+    event = next(e for e in enumerate_candidate_events(P)
+                 if e.type is EventType.VALIDITY and e.witnesses == (14, 14))
+    assert event.angle_deg == pytest.approx(12.11602, abs=1e-5)
+    th = event.angle_deg - 1e-3
+    S = freeze_structure(P, solve_theta(P, Angle(th)))
+    inside = solve_theta(P, Angle(th - 0.1)).tour.length
+    assert evaluate_close_tour(S, -0.1) == pytest.approx(inside, abs=1e-9)
+    with pytest.raises(StructureInfeasibleError, match="color"):
+        evaluate_close_tour(S, event.angle_deg + 0.2 - th)
+
+
+def test_frozen_refine_falls_back_past_an_event():
+    # the bracket straddles the Validity events at 12.87882 degrees:
+    # the structure frozen at 12.6 is refused past them, that angle is
+    # solved in full and the search goes on from its structure
+    P = make_polygon(spiral_corridor(1))
+    notes = []
+    x, length = rotor._refine_minimum(P, 12.5, 13.3, 12.6,
+                                      solve_theta(P, Angle(12.6)), 1e-6, notes)
+    assert len(notes) == 1
+    assert "bracket (12.500000, 13.300000) deg" in notes[0]
+    assert "color" in notes[0]
+    assert length == solve_theta(P, Angle(x)).tour.length
 
 
 def test_minimize_interval_flat(square, double):
@@ -141,6 +236,31 @@ def test_optimize_spiral(spiral):
     assert _type_counts(rep.events) == {
         "Bending": 1, "Cuddle": 3, "Passing": 9, "Validity": 6}
     assert len(rep.intervals) == 14
+
+
+def test_optimize_positive_optimum(spiral_sweeps):
+    for seed, (P, rep, _, _) in spiral_sweeps.items():
+        assert rep.best_length == pytest.approx(SPIRAL_BEST[seed], rel=1e-9)
+        dense_min = min(v for _, v in dense_sweep(P, 0.05))
+        assert rep.best_length <= dense_min + 1e-3 * (1.0 + P.diameter)
+
+
+def test_sweep_solve_counts(spiral_sweeps, toothgap, monkeypatch):
+    solves = _counting(monkeypatch, "solve_theta")
+    assert optimize(toothgap).best_length == 0.0
+    assert solves[0] <= 1500
+    _, _, spiral_solves, spiral_evals = spiral_sweeps[1]
+    assert spiral_solves <= 2500
+    assert spiral_evals > 0
+
+
+def test_flat_interval_skips_refinement(double, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("refined although a flat interval exists")
+
+    monkeypatch.setattr(rotor, "freeze_structure", refuse)
+    ang, val = minimize_interval(double, 0.001, 75.9637)
+    assert val == 0.0
 
 
 def test_optimize_best_matches_fresh_solve(unotch, double, spiral):
