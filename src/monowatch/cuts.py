@@ -116,13 +116,20 @@ def classify_vertex(P: Polygon, v, theta: Angle) -> VertexClass:
     return _classify_direction(P, vi, math.cos(r), math.sin(r))
 
 
+def _validity_event(P: Polygon, theta: Angle, vi: int) -> EventAngleError:
+    return EventAngleError(
+        f"theta={theta.degrees:.9f} is a validity event: an edge at "
+        f"reflex vertex {vi} {tuple(P.vertices[vi])} is parallel to it",
+        angle=theta.degrees, kind="Validity", witness=(vi,))
+
+
 def compute_cuts(P: Polygon, theta: Angle,
                  diagnostics: Optional[list] = None) -> List[ThetaCut]:
     """All cuts of P at angle theta, ordered by issuing vertex index.
 
     Raises EventAngleError when any reflex vertex classifies as
-    Boundary: theta is then a validity event and the cut structure is
-    not well defined.
+    Boundary, or when its chord ends at the vertex or a neighbour: theta
+    is then a validity event and the cut structure is not well defined.
     """
     r = theta.radians
     ux = math.cos(r)
@@ -131,15 +138,19 @@ def compute_cuts(P: Polygon, theta: Angle,
     for vi in P.reflex_indices:
         cls = _classify_direction(P, vi, ux, uy)
         if cls is VertexClass.BOUNDARY:
-            raise EventAngleError(
-                f"theta={theta.degrees:.9f} is a validity event: an edge at "
-                f"reflex vertex {vi} {tuple(P.vertices[vi])} is parallel to it",
-                angle=theta.degrees, kind="Validity", witness=(vi,))
+            raise _validity_event(P, theta, vi)
         if cls not in (VertexClass.RED, VertexClass.BLUE):
             continue
         color = CutColor.RED if cls is VertexClass.RED else CutColor.BLUE
         hit = chord_through_vertex(P, vi, theta, diagnostics)
+        # an edge just off parallel (TAU_ORIENT is absolute) can leave a
+        # chord end at the vertex itself or at a neighbour, where the
+        # left region degenerates: that is the same validity event
         v = P.vertices[vi]
+        near = (P.vertices[vi - 1], v, P.vertices[(vi + 1) % P.n])
+        if any(math.dist(q, w) <= TAU_ONEDGE
+               for q in (hit.lo, hit.hi) for w in near):
+            raise _validity_event(P, theta, vi)
         off_lo = (hit.edge_lo - vi) % P.n
         off_hi = (hit.edge_hi - vi) % P.n
         # the forward endpoint is the chord end reached first on a

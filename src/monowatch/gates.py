@@ -4,6 +4,10 @@ A gate is a cut whose left region is minimal under inclusion among all
 cuts at the same angle.  Touring every gate chord is enough to see the
 whole polygon, so the solver only keeps the part of the polygon on the
 non-left side of each gate.
+
+All cuts at one angle are parallel chords that never cross, so left
+regions are compared through their boundary arcs (``boundary_arc``),
+by positions along the boundary, without building the regions.
 """
 
 from __future__ import annotations
@@ -21,10 +25,9 @@ from .geom import (
     Segment,
     point_segment_distance,
     ring_area,
-    ring_contains,
     split_ring,
 )
-from .cuts import ThetaCut
+from .cuts import CutKind, ThetaCut
 
 # relative slack for the area bookkeeping check in reduce_polygon
 AREA_CHECK_REL = 1e-6
@@ -52,42 +55,47 @@ class Gate:
         return "gate from " + self.cut.describe()
 
 
-def _left_ring(P: Polygon, cut: ThetaCut, cache: Optional[dict]) -> tuple:
-    if cache is None:
-        left, _ = split_ring(P.vertices, cut.chord.a, cut.chord.b)
-        return left
-    key = (cut.vertex_index, cut.kind)
-    ring = cache.get(key)
-    if ring is None:
-        ring, _ = split_ring(P.vertices, cut.chord.a, cut.chord.b)
-        cache[key] = ring
-    return ring
+def boundary_arc(P: Polygon, cut: ThetaCut) -> Tuple[float, float]:
+    """Boundary part of the cut's left region as (start, end) keys.
+
+    The arc runs counterclockwise from ``chord.b`` to ``chord.a``.  A
+    boundary position is keyed ``edge + t``: the vertex end sits at
+    ``vertex_index`` and the far end at ``far_edge`` plus the parameter
+    of the far point on that edge.
+    """
+    a = P.vertices[cut.far_edge]
+    b = P.vertices[(cut.far_edge + 1) % P.n]
+    p = cut.far_point
+    dx, dy = b.x - a.x, b.y - a.y
+    t = ((p.x - a.x) * dx + (p.y - a.y) * dy) / (dx * dx + dy * dy)
+    far = (cut.far_edge + t) % P.n
+    v = float(cut.vertex_index)
+    return (far, v) if cut.kind is CutKind.FORWARD else (v, far)
 
 
-def _chord_probes(cut: ThetaCut) -> tuple:
-    a, b = cut.chord
-    return (a, b, Point((a.x + b.x) / 2.0, (a.y + b.y) / 2.0))
+def in_arc(key: float, arc: Tuple[float, float], n: int) -> bool:
+    """Whether a boundary key lies in the closed arc."""
+    return (key - arc[0]) % n <= (arc[1] - arc[0]) % n
 
 
-def _chord_inside(P: Polygon, probe_cut: ThetaCut, region_cut: ThetaCut,
-                  cache: Optional[dict]) -> bool:
-    ring = _left_ring(P, region_cut, cache)
-    return all(ring_contains(ring, q) >= 0 for q in _chord_probes(probe_cut))
+def _strictly_within(inner: Tuple[float, float], outer: Tuple[float, float],
+                     n: int) -> bool:
+    s = outer[0]
+    return inner != outer and ((inner[0] - s) % n <= (inner[1] - s) % n
+                               <= (outer[1] - s) % n)
 
 
-def dominates(P: Polygon, c1: ThetaCut, c2: ThetaCut,
-              cache: Optional[dict] = None) -> bool:
+def dominates(P: Polygon, c1: ThetaCut, c2: ThetaCut) -> bool:
     """True when the left region of c1 is strictly inside that of c2.
 
-    Parallel chords make strict inclusion decidable from three probe
-    points per chord: c1's chord must be inside c2's region while c2's
-    chord leaves c1's.  Cuts at different angles cannot be compared.
+    Cuts at one angle are parallel chords that never cross, so their
+    left regions are nested, disjoint or cover P together, and region
+    inclusion is arc inclusion; two arcs inside each other are equal.
+    Cuts at different angles cannot be compared.
     """
     if c1.theta.degrees != c2.theta.degrees:
         raise GeometryError("cannot compare cuts at different angles")
-    if c1 is c2 or (c1.vertex_index == c2.vertex_index and c1.kind == c2.kind):
-        return False
-    return _chord_inside(P, c1, c2, cache) and not _chord_inside(P, c2, c1, cache)
+    return _strictly_within(boundary_arc(P, c1), boundary_arc(P, c2), P.n)
 
 
 def _collinear_same_color(c1: ThetaCut, c2: ThetaCut) -> bool:
@@ -102,8 +110,7 @@ def _collinear_same_color(c1: ThetaCut, c2: ThetaCut) -> bool:
     return True
 
 
-def compute_gates(P: Polygon, cuts: Sequence[ThetaCut],
-                  cache: Optional[dict] = None) -> List[Gate]:
+def compute_gates(P: Polygon, cuts: Sequence[ThetaCut]) -> List[Gate]:
     """Minimal cuts under left-region inclusion, in cut order.
 
     Two same-colored cuts from different vertices on one line make the
@@ -119,13 +126,9 @@ def compute_gates(P: Polygon, cuts: Sequence[ThetaCut],
                     f"{c2.vertex_index} share a chord line",
                     angle=c1.theta.degrees, kind="Domination",
                     witness=(c1.vertex_index, c2.vertex_index))
-    if cache is None:
-        cache = {}
-    out = []
-    for c in cuts:
-        if not any(dominates(P, other, c, cache) for other in cuts if other is not c):
-            out.append(Gate(c))
-    return out
+    arcs = [boundary_arc(P, c) for c in cuts]
+    return [Gate(c) for c, a in zip(cuts, arcs)
+            if not any(_strictly_within(b, a, P.n) for b in arcs)]
 
 
 @dataclass
@@ -148,15 +151,12 @@ class ReducedPolygon:
         return tuple(e for e, _ in self.essential)
 
 
-def _removal_side(left: tuple, right: tuple, other_mids: Sequence[Point]) -> str:
-    if not other_mids:
-        return "left"
-    in_left = [ring_contains(left, m) >= 0 for m in other_mids]
-    in_right = [ring_contains(right, m) >= 0 for m in other_mids]
-    if not any(in_left):
-        return "left"
-    if not any(in_right):
-        return "right"
+def _removal_side(arc: Tuple[float, float],
+                  other_arcs: Sequence[Tuple[float, float]], n: int) -> str:
+    # a chord lies on one side of another, so its two keys place it
+    for side, keys in (("left", arc), ("right", (arc[1], arc[0]))):
+        if not any(all(in_arc(k, keys, n) for k in b) for b in other_arcs):
+            return side
     raise GeometryError("gate chords separate each other; reduction is "
                         "not well defined at this angle")
 
@@ -175,12 +175,12 @@ def reduce_polygon(P: Polygon, gates: Sequence[Gate],
     if not gates:
         return ReducedPolygon(P, (), theta, P)
 
-    mids = [g.chord.midpoint() for g in gates]
+    arcs = [boundary_arc(P, g.cut) for g in gates]
     removed_total = 0.0
     current = tuple(P.vertices)
     for gi, g in enumerate(gates):
         left, right = split_ring(current, g.chord.a, g.chord.b)
-        side = _removal_side(left, right, mids[:gi] + mids[gi + 1:])
+        side = _removal_side(arcs[gi], arcs[:gi] + arcs[gi + 1:], P.n)
         removal, kept = (left, right) if side == "left" else (right, left)
         removed_total += abs(ring_area(removal))
         current = kept

@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .cuts import ThetaCut, compute_cuts
+from .cuts import ThetaCut, compute_cuts, left_region
 from .gates import compute_gates
 from .geom import (
     TAU_ONEDGE,
@@ -96,10 +96,8 @@ def validate_tour(P: Polygon, theta: Union[Angle, float],
     coverage: List[CutCoverage] = []
     violated: List[ThetaCut] = []
     worst = 0.0
-    from .gates import _left_ring
-    cache: dict = {}
     for c in cuts:
-        ring = _left_ring(P, c, cache)
+        ring = left_region(P, c)
         hit = any(ring_contains(ring, p, tol) >= 0 for p in pts)
         if not hit:
             for a, b in edges:

@@ -10,10 +10,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .cuts import CutKind, ThetaCut, compute_cuts
-from .gates import Gate, ReducedPolygon, compute_gates, reduce_polygon, _left_ring
+from .gates import (
+    Gate,
+    ReducedPolygon,
+    boundary_arc,
+    compute_gates,
+    in_arc,
+    reduce_polygon,
+)
 from .geom import (
     TAU_ONEDGE,
     Angle,
@@ -21,7 +28,6 @@ from .geom import (
     Point,
     Polygon,
     point_segment_distance,
-    ring_contains,
 )
 from .sleeve import (
     TAG_TOL,
@@ -93,42 +99,30 @@ def _stable_or_moving_tag(P: Polygon, p: Point, gates: Sequence[Gate]) -> TourTa
     return TourTag("stable", vertex_index=None)
 
 
-def _common_tour_point(P: Polygon, gates: Sequence[Gate],
-                       cache: dict) -> Optional[Point]:
+def _common_tour_point(P: Polygon, gates: Sequence[Gate]) -> Optional[Point]:
     """A point of some gate chord lying in every other gate's region.
 
-    Candidates on each chord are its endpoints, its midpoint, and any
-    other chord endpoints incident to it; the first gate owning a
-    feasible candidate wins, closest to its vertex end first.
+    Candidates on each chord are its midpoint and every gate chord end
+    on it, its own two included; the first gate owning a feasible
+    candidate wins, closest to its vertex end first.  A chord end is
+    placed by its boundary key, the midpoint by both keys of its chord.
     """
-    rings = {}
+    arcs = [boundary_arc(P, g.cut) for g in gates]
 
-    def in_all_others(q: Point, skip: int) -> bool:
-        for j, g in enumerate(gates):
-            if j == skip:
-                continue
-            ring = rings.get(j)
-            if ring is None:
-                ring = _left_ring(P, g.cut, cache)
-                rings[j] = ring
-            if ring_contains(ring, q) < 0:
-                return False
-        return True
+    def in_all_others(keys: Tuple[float, ...], skip: int) -> bool:
+        return all(in_arc(k, arc, P.n) for j, arc in enumerate(arcs)
+                   if j != skip for k in keys)
 
     for gi, g in enumerate(gates):
-        v = g.cut.vertex
-        far = g.cut.far_point
-        pts = [v, far, g.chord.midpoint()]
-        for j, other in enumerate(gates):
-            if j == gi:
-                continue
-            for q in (other.chord.a, other.chord.b):
+        cands = [(g.chord.midpoint(), arcs[gi])]
+        for h, (kb, ka) in zip(gates, arcs):
+            for q, k in ((h.chord.a, ka), (h.chord.b, kb)):
                 if point_segment_distance(q, g.chord) <= TAU_ONEDGE:
-                    pts.append(Point(q[0], q[1]))
-        feasible = [q for q in pts if in_all_others(q, gi)]
+                    cands.append((Point(q[0], q[1]), (k,)))
+        feasible = [q for q, keys in cands if in_all_others(keys, gi)]
         if feasible:
-            feasible.sort(key=lambda q: math.dist(q, v))
-            return feasible[0]
+            v = g.cut.vertex
+            return min(feasible, key=lambda q: math.dist(q, v))
     return None
 
 
@@ -191,8 +185,18 @@ def _same_color_picks(rp: ReducedPolygon) -> List[int]:
     return picks
 
 
+def _sleeve_path(rp: ReducedPolygon, tri: Triangulation, vi: int,
+                 sleeve_cache: dict) -> Tuple[Sleeve, Tuple[Point, ...]]:
+    """The sleeve from vertex vi and its taut path, built once per solve."""
+    hit = sleeve_cache.get(vi)
+    if hit is None:
+        sleeve = unroll(rp, tri, vi)
+        hit = sleeve_cache[vi] = (sleeve, shortest_path(sleeve))
+    return hit
+
+
 def _candidate_indices(rp: ReducedPolygon, tri: Triangulation,
-                       sleeve_cache: Dict[int, Sleeve]) -> List[int]:
+                       sleeve_cache: dict) -> List[int]:
     poly = rp.polygon
     k = len(rp.essential)
     if k < 2:
@@ -216,11 +220,8 @@ def _candidate_indices(rp: ReducedPolygon, tri: Triangulation,
             out.append(vi)
     # last bend of each endpoint's taut path before it first leaves copy 0
     for vi in list(out):
-        sleeve = sleeve_cache.get(vi)
-        if sleeve is None:
-            sleeve = unroll(rp, tri, vi)
-            sleeve_cache[vi] = sleeve
-        extra = _last_vertex_before_first_mirror(sleeve)
+        extra = _last_vertex_before_first_mirror(
+            *_sleeve_path(rp, tri, vi, sleeve_cache))
         if extra is not None:
             wi = poly.find_vertex(extra)
             if wi is not None:
@@ -244,8 +245,8 @@ def _dedupe(seq: Sequence[int]) -> List[int]:
     return out
 
 
-def _last_vertex_before_first_mirror(sleeve: Sleeve) -> Optional[Point]:
-    path = shortest_path(sleeve)
+def _last_vertex_before_first_mirror(sleeve: Sleeve,
+                                     path: Tuple[Point, ...]) -> Optional[Point]:
     if len(path) < 2 or not sleeve.mirrors:
         return None
     from .geom import segment_segment_intersection
@@ -281,12 +282,11 @@ def solve_theta(P: Polygon, theta) -> SolveResult:
         tour = Tour((pt,), (TourTag("stable", vertex_index=vi),), 0.0, theta)
         return SolveResult(tour, (), (), (pt,), (), theta, tuple(diag))
 
-    cache: dict = {}
-    gates = tuple(compute_gates(P, cuts, cache))
+    gates = tuple(compute_gates(P, cuts))
     if not gates:
         raise GeometryError("cuts exist but no gate was selected")
 
-    common = _common_tour_point(P, gates, cache)
+    common = _common_tour_point(P, gates)
     if common is not None:
         tag = _stable_or_moving_tag(P, common, gates)
         tour = Tour((common,), (tag,), 0.0, theta)
@@ -296,18 +296,13 @@ def solve_theta(P: Polygon, theta) -> SolveResult:
 
     rp = reduce_polygon(P, gates, theta)
     tri = triangulate(rp)
-    sleeve_cache: Dict[int, Sleeve] = {}
+    sleeve_cache: dict = {}
     cand = _candidate_indices(rp, tri, sleeve_cache)
 
     best: Optional[Tour] = None
     tried: List[Point] = []
     for vi in cand:
-        sleeve = sleeve_cache.get(vi)
-        if sleeve is None:
-            sleeve = unroll(rp, tri, vi)
-            sleeve_cache[vi] = sleeve
-        path = shortest_path(sleeve)
-        tour = fold_back(sleeve, path)
+        tour = fold_back(*_sleeve_path(rp, tri, vi, sleeve_cache))
         tried.append(rp.polygon.vertices[vi])
         if best is None:
             best = tour

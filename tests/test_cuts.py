@@ -59,6 +59,17 @@ def test_cuts_refuse_validity_angle(double):
         compute_cuts(double, Angle(VALIDITY_DEG))
 
 
+def test_cuts_refuse_chord_ending_at_vertex_or_neighbour(toothgap):
+    # just below the event of edge (6,0)->(6.5,6) the edge is not yet
+    # parallel within TAU_ORIENT, but vertex 2's backward chord ends at
+    # the vertex itself (-1e-8) or at its neighbour (-1e-7)
+    event = math.degrees(math.atan2(6.0, 0.5))
+    for d in (1e-8, 1e-7):
+        with pytest.raises(EventAngleError) as ei:
+            compute_cuts(toothgap, Angle(event - d))
+        assert (ei.value.kind, ei.value.witness) == ("Validity", (2,))
+
+
 def test_cut_pair_union_is_max_chord():
     for seed in (0, 3, 11):
         P = corpus_polygon(seed)

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -8,11 +9,13 @@ from monowatch import (
     compute_cuts,
     compute_gates,
     dominates,
+    left_region,
     reduce_polygon,
+    solve_theta,
 )
-from monowatch.geom import TAU_ONEDGE, ring_area
+from monowatch.geom import TAU_ONEDGE, ring_area, ring_contains
 
-from conftest import corpus_polygon
+from conftest import corpus_polygon, make_polygon, mixed_corpus, spiral_corridor
 
 
 def _cut(cuts, vertex, kind):
@@ -157,3 +160,46 @@ def test_reduce_area_bookkeeping(double, unotch, toothgap):
         total = ring_area(P.vertices)
         kept = ring_area(rp.polygon.vertices)
         assert kept + rp.removed_area == pytest.approx(total, rel=1e-6)
+
+
+def _ring_dominates(P, c1, c2):
+    """Reference: c1's chord (ends and midpoint) lies in c2's left
+    region and c2's chord does not lie in c1's, probed on split rings."""
+    def chord_inside(probe, region):
+        ring = left_region(P, region)
+        a, b = probe.chord
+        return all(ring_contains(ring, q) >= 0
+                   for q in (a, b, probe.chord.midpoint()))
+
+    if c1.vertex_index == c2.vertex_index and c1.kind == c2.kind:
+        return False
+    return chord_inside(c1, c2) and not chord_inside(c2, c1)
+
+
+def test_gates_match_ring_reference():
+    cases = []
+    for i, P in enumerate(mixed_corpus(200)):
+        rng = random.Random(i)
+        cases.extend((P, rng.uniform(0.0, 180.0)) for _ in range(10))
+    for seed in range(4):
+        P = make_polygon(spiral_corridor(seed))
+        rng = random.Random(seed)
+        cases.extend((P, rng.uniform(0.0, 180.0)) for _ in range(30))
+    compared = with_common = 0
+    for P, th in cases:
+        try:
+            res = solve_theta(P, Angle(th))
+        except EventAngleError:
+            continue
+        cuts = res.cuts
+        want = [c for c in cuts
+                if not any(_ring_dominates(P, o, c) for o in cuts if o is not c)]
+        assert [g.cut for g in compute_gates(P, cuts)] == want, (P, th)
+        assert [g.cut for g in res.gates] == want
+        if res.common_point is not None:
+            with_common += 1
+            for g in res.gates:
+                ring = left_region(P, g.cut)
+                assert ring_contains(ring, res.common_point) >= 0, (P, th)
+        compared += 1
+    assert compared >= 2000 and with_common > 0

@@ -3,9 +3,9 @@ import math
 
 import pytest
 
-from monowatch import Angle, GeometryError, rotor, solve_theta
+from monowatch import Angle, EventAngleError, GeometryError, rotor, solve_theta
 from monowatch.geom import Point, Segment
-from monowatch.oracle import dense_sweep
+from monowatch.oracle import dense_sweep, validate_tour
 from monowatch.rotor import (
     Event,
     EventType,
@@ -150,6 +150,26 @@ def test_frozen_structure_refuses_past_validity_event():
     assert evaluate_close_tour(S, -0.1) == pytest.approx(inside, abs=1e-9)
     with pytest.raises(StructureInfeasibleError, match="color"):
         evaluate_close_tour(S, event.angle_deg + 0.2 - th)
+
+
+def test_chord_along_its_edge_is_a_validity_event():
+    # within 1e-7 degrees past the Validity event of vertex 14, edge
+    # 14->15 is not yet parallel within TAU_ORIENT, and the Blue forward
+    # chord runs along it to end 2.5e-8 from vertex 15; that angle is
+    # refused as the event itself, so the robust solve steps off it
+    P = make_polygon(spiral_corridor(1))
+    event = next(e for e in enumerate_candidate_events(P)
+                 if e.type is EventType.VALIDITY and e.witnesses == (14, 14))
+    for d in (1e-7, 1e-8):
+        with pytest.raises(EventAngleError) as ei:
+            solve_theta(P, Angle(event.angle_deg + d))
+        assert (ei.value.kind, ei.value.witness) == ("Validity", (14,))
+        res = rotor._solve_robust(P, event.angle_deg + d)
+        assert validate_tour(P, res.theta, res.tour).valid
+    above = solve_theta(P, Angle(event.angle_deg + 1e-6)).tour.length
+    below = solve_theta(P, Angle(event.angle_deg - 1e-6)).tour.length
+    assert above == pytest.approx(55.856936996162055, rel=1e-9)
+    assert below == pytest.approx(12.167347364974761, rel=1e-9)
 
 
 def test_frozen_refine_falls_back_past_an_event():
