@@ -98,16 +98,29 @@ def dominates(P: Polygon, c1: ThetaCut, c2: ThetaCut) -> bool:
     return _strictly_within(boundary_arc(P, c1), boundary_arc(P, c2), P.n)
 
 
-def _collinear_same_color(c1: ThetaCut, c2: ThetaCut) -> bool:
-    if c1.color is not c2.color or c1.vertex_index == c2.vertex_index:
-        return False
-    line = Segment(c1.chord.a, c1.chord.b)
-    d = line.direction()
-    ax, ay = line.a
-    for q in c2.chord:
-        if abs(d.x * (q[1] - ay) - d.y * (q[0] - ax)) > TAU_ONEDGE:
-            return False
-    return True
+def _refuse_collinear_same_color(cuts: Sequence[ThetaCut]) -> None:
+    """Raise on the first pair of same-colored cuts from different
+    vertices whose chords lie on one line (a domination event)."""
+    for i, c1 in enumerate(cuts):
+        d = None
+        for c2 in cuts[i + 1:]:
+            if c1.color is not c2.color or c1.vertex_index == c2.vertex_index:
+                continue
+            if d is None:
+                # c1's unit direction and anchor, once for all its pairs
+                d = c1.chord.direction()
+                dx, dy = d
+                ax, ay = c1.chord.a
+            (px, py), (qx, qy) = c2.chord
+            if (abs(dx * (py - ay) - dy * (px - ax)) > TAU_ONEDGE
+                    or abs(dx * (qy - ay) - dy * (qx - ax)) > TAU_ONEDGE):
+                continue
+            raise EventAngleError(
+                f"theta={c1.theta.degrees:.9f} is a domination event: "
+                f"cuts from vertices {c1.vertex_index} and "
+                f"{c2.vertex_index} share a chord line",
+                angle=c1.theta.degrees, kind="Domination",
+                witness=(c1.vertex_index, c2.vertex_index))
 
 
 def compute_gates(P: Polygon, cuts: Sequence[ThetaCut]) -> List[Gate]:
@@ -117,15 +130,7 @@ def compute_gates(P: Polygon, cuts: Sequence[ThetaCut]) -> List[Gate]:
     minimal set ambiguous; that is a domination event and is refused.
     """
     cuts = list(cuts)
-    for i, c1 in enumerate(cuts):
-        for c2 in cuts[i + 1:]:
-            if _collinear_same_color(c1, c2):
-                raise EventAngleError(
-                    f"theta={c1.theta.degrees:.9f} is a domination event: "
-                    f"cuts from vertices {c1.vertex_index} and "
-                    f"{c2.vertex_index} share a chord line",
-                    angle=c1.theta.degrees, kind="Domination",
-                    witness=(c1.vertex_index, c2.vertex_index))
+    _refuse_collinear_same_color(cuts)
     arcs = [boundary_arc(P, c) for c in cuts]
     return [Gate(c) for c, a in zip(cuts, arcs)
             if not any(_strictly_within(b, a, P.n) for b in arcs)]

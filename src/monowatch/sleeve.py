@@ -72,7 +72,18 @@ def triangulate(rp) -> Triangulation:
 
     Zero-area corners from collinear boundary chains are skipped until
     they open up, which keeps reduced polygons with chord-on-chord
-    chains legal.
+    chains legal.  Each round clips the lowest-index vertex that is a
+    strict ear (no other vertex on or inside its triangle), or failing
+    that the lowest-index loose ear (none strictly inside).
+
+    Ear flags are cached, as in Held's FIST, and a corner is tested only
+    when the search for the lowest-index ear reaches it.  Clipping b
+    changes only its two neighbours' triangles, and removing a vertex
+    can only unblock an ear, so a clip marks for re-testing the two
+    neighbours and the blocked corners whose triangle held b; every
+    other flag stays exact.  An ear test is O(n) and on reduced polygons
+    a clip re-tests about two corners, so the clipping costs O(n^2)
+    instead of the O(n^3) of re-testing every corner after every clip.
     """
     polygon = rp.polygon if isinstance(rp, ReducedPolygon) else rp
     verts = polygon.vertices
@@ -80,47 +91,87 @@ def triangulate(rp) -> Triangulation:
     if m < 3:
         raise GeometryError("cannot triangulate fewer than 3 vertices")
 
-    ids = list(range(m))
-    triangles: List[Tuple[int, int, int]] = []
+    xs = [p[0] for p in verts]
+    ys = [p[1] for p in verts]
+    prv = [(i - 1) % m for i in range(m)]
+    nxt = [(i + 1) % m for i in range(m)]
+    alive = [True] * m
+    # per corner: not tested against the current ring yet; maybe a strict
+    # ear (untested, or tested and found one); tested and a loose ear.
+    # The extra last entry of the two ear lists ends every search.
+    untested = [True] * m
+    maybe_strict = [True] * (m + 1)
+    loose_ear = [False] * m + [True]
+    # convex corners that another vertex keeps from being a strict ear,
+    # with the operands of their triangle's orientation tests
+    blocked: Dict[int, Tuple[float, ...]] = {}
+    neg = -TAU_ORIENT
 
-    def is_ear(pos: int, strict_boundary: bool) -> bool:
-        a = verts[ids[pos - 1]]
-        b = verts[ids[pos]]
-        c = verts[ids[(pos + 1) % len(ids)]]
-        if orient_value(a, b, c) <= TAU_ORIENT:
-            return False
-        excluded = {ids[pos - 1], ids[pos], ids[(pos + 1) % len(ids)]}
-        for other in ids:
-            if other in excluded:
+    def test(v: int) -> None:
+        """Set the strict and loose ear flags of corner v."""
+        a, c = prv[v], nxt[v]
+        ax, ay, bx, by, cx, cy = xs[a], ys[a], xs[v], ys[v], xs[c], ys[c]
+        # operands in the order of orient_value(a, b, c) and of
+        # orient_value(a, b, w), (b, c, w), (c, a, w) below
+        abx, aby = bx - ax, by - ay
+        bcx, bcy = cx - bx, cy - by
+        cax, cay = ax - cx, ay - cy
+        untested[v] = maybe_strict[v] = loose_ear[v] = False
+        if abx * (cy - ay) - aby * (cx - ax) <= TAU_ORIENT:
+            return
+        strict = loose = True
+        w = nxt[c]
+        while w != a:
+            wx, wy = xs[w], ys[w]
+            w = nxt[w]
+            o1 = abx * (wy - ay) - aby * (wx - ax)
+            if o1 < neg:
                 continue
-            w = verts[other]
-            o1 = orient_value(a, b, w)
-            o2 = orient_value(b, c, w)
-            o3 = orient_value(c, a, w)
-            if strict_boundary:
-                if o1 >= -TAU_ORIENT and o2 >= -TAU_ORIENT and o3 >= -TAU_ORIENT:
-                    return False
-            else:
-                if o1 > TAU_ORIENT and o2 > TAU_ORIENT and o3 > TAU_ORIENT:
-                    return False
-        return True
-
-    while len(ids) > 3:
-        clipped = False
-        for strict in (True, False):
-            for pos in range(len(ids)):
-                if is_ear(pos, strict):
-                    triangles.append((ids[pos - 1], ids[pos],
-                                      ids[(pos + 1) % len(ids)]))
-                    del ids[pos]
-                    clipped = True
-                    break
-            if clipped:
+            o2 = bcx * (wy - by) - bcy * (wx - bx)
+            if o2 < neg:
+                continue
+            o3 = cax * (wy - cy) - cay * (wx - cx)
+            if o3 < neg:
+                continue
+            strict = False
+            if o1 > TAU_ORIENT and o2 > TAU_ORIENT and o3 > TAU_ORIENT:
+                loose = False
                 break
-        if not clipped:
-            raise GeometryError("ear clipping failed; the ring is not a "
-                                "simple polygon")
-    a, b, c = ids
+        maybe_strict[v], loose_ear[v] = strict, loose
+        if not strict:
+            blocked[v] = (ax, ay, abx, aby, bx, by, bcx, bcy, cx, cy, cax, cay)
+
+    triangles: List[Tuple[int, int, int]] = []
+    remaining = m
+    while remaining > 3:
+        # lowest-index strict ear, testing the untested corners up to it
+        b = maybe_strict.index(True)
+        while b < m and untested[b]:
+            test(b)
+            b = maybe_strict.index(True, b)
+        if b == m:
+            b = loose_ear.index(True)
+            if b == m:
+                raise GeometryError("ear clipping failed; the ring is not a "
+                                    "simple polygon")
+        a, c = prv[b], nxt[b]
+        triangles.append((a, b, c))
+        alive[b] = maybe_strict[b] = loose_ear[b] = False
+        nxt[a], prv[c] = c, a
+        remaining -= 1
+        # b may have been what blocked a corner whose triangle held it
+        wx, wy = xs[b], ys[b]
+        for v in (a, b, c):
+            blocked.pop(v, None)
+        for v, (ax, ay, abx, aby, bx, by, bcx, bcy, cx, cy, cax,
+                cay) in list(blocked.items()):
+            if (abx * (wy - ay) - aby * (wx - ax) >= neg
+                    and bcx * (wy - by) - bcy * (wx - bx) >= neg
+                    and cax * (wy - cy) - cay * (wx - cx) >= neg):
+                del blocked[v]
+                untested[v] = maybe_strict[v] = True
+        untested[a] = maybe_strict[a] = untested[c] = maybe_strict[c] = True
+    a, b, c = (v for v in range(m) if alive[v])
     if orient_value(verts[a], verts[b], verts[c]) <= TAU_ORIENT:
         raise GeometryError("triangulation left a degenerate final triangle")
     triangles.append((a, b, c))

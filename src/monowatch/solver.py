@@ -126,17 +126,6 @@ def _common_tour_point(P: Polygon, gates: Sequence[Gate]) -> Optional[Point]:
     return None
 
 
-def candidate_vertices(rp: ReducedPolygon) -> List[Point]:
-    """Start vertices whose sleeve tours cover the optimum.
-
-    Needs at least two essential edges; the zero and one gate cases are
-    resolved before any sleeve is built.
-    """
-    tri = triangulate(rp)
-    idxs = _candidate_indices(rp, tri, {})
-    return [rp.polygon.vertices[i] for i in idxs]
-
-
 def _essential_ring_order(rp: ReducedPolygon) -> List[Tuple[int, Gate]]:
     return sorted(rp.essential, key=lambda pair: pair[0])
 

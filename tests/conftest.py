@@ -79,6 +79,34 @@ def spiral_corridor(seed: int):
     return out
 
 
+def comb(k: int, seed: int = 0):
+    """Comb with k V-teeth in a (2k+2) x 10 rectangle, 3k+4 vertices.
+
+    Even teeth rise from the bottom, odd teeth hang from the top, and
+    every apex is a reflex vertex.  The benchmark generates the same
+    family; keep the two identical.
+    """
+    rng = random.Random(seed)
+    width = 2.0 * k + 2.0
+    bottom, top = [], []
+    for i in range(k):
+        x0 = 1.1 + 2.0 * i
+        x1 = x0 + 1.4
+        apex = 0.5 * (x0 + x1) + rng.uniform(-0.3, 0.3)
+        if i % 2 == 0:
+            bottom.append((x0, apex, x1, rng.uniform(5.5, 8.0)))
+        else:
+            top.append((x0, apex, x1, rng.uniform(2.0, 4.5)))
+    pts = [(0.0, 0.0)]
+    for x0, apex, x1, h in bottom:
+        pts.extend([(x0, 0.0), (apex, h), (x1, 0.0)])
+    pts.extend([(width, 0.0), (width, 10.0)])
+    for x0, apex, x1, h in reversed(top):
+        pts.extend([(x1, 10.0), (apex, h), (x0, 10.0)])
+    pts.append((0.0, 10.0))
+    return pts
+
+
 def corpus_polygon(seed: int) -> Polygon:
     n = 6 + seed % 9
     return jittered_circle_polygon(n, seed)

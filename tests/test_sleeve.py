@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -15,20 +16,27 @@ from monowatch import (
     triangulate,
     unroll,
 )
+from monowatch.gates import ReducedPolygon
 from monowatch.geom import (
     TAU_ONEDGE,
+    TAU_ORIENT,
+    GeometryError,
     Point,
     Polygon,
+    orient_value,
     reflect_point,
     ring_area,
     ring_contains,
 )
 
 from conftest import (
+    comb,
     corpus_polygon,
     make_polygon,
+    mixed_corpus,
     notched_polygon,
     solve_or_none,
+    spiral_corridor,
 )
 
 
@@ -62,6 +70,136 @@ def test_triangulate_partition_invariants():
             for t in tri.triangles)
         assert tri_area == pytest.approx(ring_area(rp.polygon.vertices),
                                          rel=1e-9)
+
+
+def _reference_triangulate(rp):
+    """The O(n^3) ear clipper that re-tests every corner after each clip;
+    ``triangulate`` must clip the same ears in the same order."""
+    polygon = rp.polygon if isinstance(rp, ReducedPolygon) else rp
+    verts = polygon.vertices
+    m = len(verts)
+    if m < 3:
+        raise GeometryError("cannot triangulate fewer than 3 vertices")
+
+    ids = list(range(m))
+    triangles = []
+
+    def is_ear(pos: int, strict_boundary: bool) -> bool:
+        a = verts[ids[pos - 1]]
+        b = verts[ids[pos]]
+        c = verts[ids[(pos + 1) % len(ids)]]
+        if orient_value(a, b, c) <= TAU_ORIENT:
+            return False
+        excluded = {ids[pos - 1], ids[pos], ids[(pos + 1) % len(ids)]}
+        for other in ids:
+            if other in excluded:
+                continue
+            w = verts[other]
+            o1 = orient_value(a, b, w)
+            o2 = orient_value(b, c, w)
+            o3 = orient_value(c, a, w)
+            if strict_boundary:
+                if o1 >= -TAU_ORIENT and o2 >= -TAU_ORIENT and o3 >= -TAU_ORIENT:
+                    return False
+            else:
+                if o1 > TAU_ORIENT and o2 > TAU_ORIENT and o3 > TAU_ORIENT:
+                    return False
+        return True
+
+    while len(ids) > 3:
+        clipped = False
+        for strict in (True, False):
+            for pos in range(len(ids)):
+                if is_ear(pos, strict):
+                    triangles.append((ids[pos - 1], ids[pos],
+                                      ids[(pos + 1) % len(ids)]))
+                    del ids[pos]
+                    clipped = True
+                    break
+            if clipped:
+                break
+        if not clipped:
+            raise GeometryError("ear clipping failed; the ring is not a "
+                                "simple polygon")
+    a, b, c = ids
+    if orient_value(verts[a], verts[b], verts[c]) <= TAU_ORIENT:
+        raise GeometryError("triangulation left a degenerate final triangle")
+    triangles.append((a, b, c))
+    return tuple(triangles)
+
+
+def _outcome(fn, ring):
+    try:
+        return fn(ring)
+    except GeometryError as exc:
+        return "refused: " + str(exc)
+
+
+def _assert_same_triangles(ring):
+    want = _outcome(_reference_triangulate, ring)
+    got = _outcome(lambda r: triangulate(r).triangles, ring)
+    assert got == want, ring
+    return want
+
+
+def _reduced_or_none(P, theta_deg):
+    try:
+        return _reduced(P, theta_deg)
+    except EventAngleError:
+        return None
+
+
+def test_triangulate_matches_reference_on_reduced_polygons():
+    cases = []
+    for i, P in enumerate(mixed_corpus(200)):
+        rng = random.Random(i)
+        cases.extend((P, rng.uniform(0.0, 180.0)) for _ in range(10))
+    for k in (2, 8, 16, 32):
+        P = make_polygon(comb(k))
+        rng = random.Random(k)
+        cases.extend((P, rng.uniform(7.5 * j, 7.5 * (j + 1)))
+                     for j in range(24))
+    for seed in range(4):
+        P = make_polygon(spiral_corridor(seed))
+        rng = random.Random(seed)
+        cases.extend((P, rng.uniform(0.0, 180.0)) for _ in range(30))
+    compared = 0
+    for P, th in cases:
+        rp = _reduced_or_none(P, th)
+        if rp is None:
+            continue
+        _assert_same_triangles(rp)
+        compared += 1
+    assert compared >= 2000
+
+
+def test_triangulate_matches_reference_with_collinear_points():
+    rng = random.Random(7)
+    for P in mixed_corpus(200):
+        v = P.vertices
+        ring = []
+        for i, p in enumerate(v):
+            ring.append(p)
+            if rng.random() < 0.5:
+                q = v[(i + 1) % len(v)]
+                ring.append(Point(0.5 * (p.x + q.x), 0.5 * (p.y + q.y)))
+        _assert_same_triangles(Polygon.raw(ring))
+
+
+def test_triangulate_matches_reference_on_degenerate_rings():
+    # vertex 1 is only a loose ear (vertex 3 repeats it), and clipping
+    # it turns vertex 0 into a strict ear
+    ring = Polygon.raw([(0, 3), (3, 1), (2, 2), (3, 1), (2, 3)])
+    assert triangulate(ring).triangles == ((0, 1, 2), (4, 0, 2), (2, 3, 4))
+    _assert_same_triangles(ring)
+    rng = random.Random(3)
+    refused = 0
+    for _ in range(6000):
+        ring = Polygon.raw([Point(float(rng.randint(0, 3)),
+                                  float(rng.randint(0, 3)))
+                            for _ in range(rng.randint(5, 9))])
+        refused += isinstance(_assert_same_triangles(ring), str)
+    assert 0 < refused < 6000
 
 
 def test_essential_edges_survive_triangulation(double):
