@@ -15,6 +15,10 @@ import math
 import random
 import sys
 import time
+from pathlib import Path
+
+# run from a checkout without installing the package
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from monowatch import Angle, EventAngleError, GeometryError, solve_theta
 from monowatch.oracle import (

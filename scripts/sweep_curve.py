@@ -15,6 +15,10 @@ import argparse
 import json
 import sys
 import time
+from pathlib import Path
+
+# run from a checkout without installing the package
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from monowatch import Angle, Polygon, Point, compute_cuts
 from monowatch.cli import render_svg

@@ -533,27 +533,32 @@ def _frozen_at(P: Polygon, x: float,
 def _refine_minimum(P: Polygon, a: float, b: float, x0: float,
                     res0: SolveResult, tol: float,
                     notes: List[str]) -> Optional[Tuple[float, float]]:
-    """Golden-section minimum over (a, b) on the structure frozen at x0.
+    """Golden-section minimum over (a, b) on the structures frozen in it.
 
-    An angle the frozen structure cannot reach is solved in full, noted,
-    and the structure re-frozen there.  The returned length comes from
-    a full solve at the argmin.
+    The search starts with the structure frozen at x0.  An angle is
+    evaluated on the newest frozen structure that reaches it; an angle
+    none of them reaches is solved in full, noted with the newest
+    structure's refusal, and the structure frozen there joins the
+    others.  The returned length comes from a full solve at the argmin.
     """
     gr = (math.sqrt(5.0) - 1.0) / 2.0
     bracket = f"bracket ({a:.6f}, {b:.6f}) deg"
-    S, base = _frozen_at(P, x0, res0)
+    frozen = [_frozen_at(P, x0, res0)]
 
     def f(x: float) -> float:
-        nonlocal S, base
-        try:
-            return evaluate_close_tour(S, x - base)
-        except StructureInfeasibleError as exc:
-            notes.append(f"frozen refine on {bracket} fell back to a full "
-                         f"solve at {x:.6f}: {exc}")
+        refusal = None
+        for S, base in reversed(frozen):
+            try:
+                return evaluate_close_tour(S, x - base)
+            except StructureInfeasibleError as exc:
+                if refusal is None:
+                    refusal = exc
+        notes.append(f"frozen refine on {bracket} fell back to a full "
+                     f"solve at {x:.6f}: {refusal}")
         r = _solve_robust(P, x)
         if r is None:
             return math.inf
-        S, base = _frozen_at(P, x, r)
+        frozen.append(_frozen_at(P, x, r))
         return r.tour.length
 
     x1 = b - gr * (b - a)

@@ -12,7 +12,7 @@ polygon afterwards.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .gates import Gate, ReducedPolygon
@@ -47,6 +47,9 @@ class Triangulation:
     neighbors: Tuple[Tuple[int, ...], ...]
     edge_tris: Dict[Tuple[int, int], Tuple[int, ...]]
     vertex_tris: Dict[int, Tuple[int, ...]]
+    # dual-tree paths found by _tree_path, keyed by (sources, targets)
+    _legs: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Tuple[int, ...]] = \
+        field(default_factory=dict, repr=False, compare=False)
 
     def triangle_points(self, ti: int) -> Tuple[Point, Point, Point]:
         a, b, c = self.triangles[ti]
@@ -229,7 +232,16 @@ class Sleeve:
 
 
 def _tree_path(tri: Triangulation, sources: Sequence[int],
-               targets: Sequence[int]) -> List[int]:
+               targets: Sequence[int]) -> Tuple[int, ...]:
+    """Shortest dual-tree path from a source triangle to a target one.
+
+    The candidate sleeves of a solve walk the same gate-to-gate legs, so
+    each path is found once per triangulation and kept in ``tri._legs``.
+    """
+    key = (tuple(sources), tuple(targets))
+    hit_path = tri._legs.get(key)
+    if hit_path is not None:
+        return hit_path
     target_set = set(targets)
     parent: Dict[int, Optional[int]] = {s: None for s in sources}
     queue = list(sources)
@@ -256,7 +268,8 @@ def _tree_path(tri: Triangulation, sources: Sequence[int],
     while parent[path[-1]] is not None:
         path.append(parent[path[-1]])
     path.reverse()
-    return path
+    tri._legs[key] = hit_path = tuple(path)
+    return hit_path
 
 
 def unroll(rp: ReducedPolygon, tri: Triangulation, v) -> Sleeve:
@@ -265,8 +278,15 @@ def unroll(rp: ReducedPolygon, tri: Triangulation, v) -> Sleeve:
     Essential edges are taken in the order a counterclockwise boundary
     walk from v meets them; each one becomes a mirror and everything
     after it is reflected across the mirror's current image.
+
+    Each reduced-polygon vertex is mapped at most once per copy, with
+    the arithmetic of ``t_apply``; the panels, portal ends, mirrors and
+    image of that copy all share the mapped point.  The dual-tree legs
+    between gates come from the triangulation's memo, so the candidate
+    sleeves of one solve search each leg once.
     """
     polygon = rp.polygon
+    verts = polygon.vertices
     m = polygon.n
     if isinstance(v, int):
         vi = v % m
@@ -274,84 +294,88 @@ def unroll(rp: ReducedPolygon, tri: Triangulation, v) -> Sleeve:
         vi = polygon.find_vertex(Point(v[0], v[1]))
         if vi is None:
             raise GeometryError(f"{v} is not a vertex of the reduced polygon")
-    v_pt = polygon.vertices[vi]
+    v_pt = verts[vi]
 
     order = sorted(rp.essential, key=lambda pair: (pair[0] - vi) % m)
     if not order:
         return Sleeve((), (), (), (), (T_IDENTITY,), v_pt, v_pt, vi, rp)
 
+    # copy c's image of vertex i is maps[c][i]; t_apply's operand order
+    # keeps every mapped point bit-identical to t_apply(transforms[c], .)
     transforms = [T_IDENTITY]
+    maps: List[Dict[int, Point]] = []
+
+    def map_into(pts: Dict[int, Point], t: tuple, idx) -> None:
+        xx, xy, yx, yy, tx, ty = t
+        for i in idx:
+            if i not in pts:
+                x, y = verts[i]
+                pts[i] = Point(xx * x + xy * y + tx, yx * x + yy * y + ty)
+
     mirrors: List[Segment] = []
     for ei, _gate in order:
-        e = polygon.edge(ei)
-        mirror = Segment(t_apply(transforms[-1], e.a), t_apply(transforms[-1], e.b))
+        ea, eb = ei % m, (ei + 1) % m
+        pts: Dict[int, Point] = {}
+        map_into(pts, transforms[-1], (ea, eb))
+        maps.append(pts)
+        mirror = Segment(pts[ea], pts[eb])
         mirrors.append(mirror)
         transforms.append(t_compose(t_reflection(mirror), transforms[-1]))
+    maps.append({})
 
     v_tris = tri.vertex_tris.get(vi)
     if not v_tris:
         raise GeometryError(f"vertex {vi} belongs to no triangle")
     gate_tris = [tri.boundary_edge_triangle(ei) for ei, _ in order]
 
-    legs: List[List[int]] = [_tree_path(tri, v_tris, [gate_tris[0]])]
+    legs = [_tree_path(tri, v_tris, (gate_tris[0],))]
     for i in range(len(order) - 1):
-        legs.append(_tree_path(tri, [gate_tris[i]], [gate_tris[i + 1]]))
-    legs.append(_tree_path(tri, [gate_tris[-1]], v_tris))
+        legs.append(_tree_path(tri, (gate_tris[i],), (gate_tris[i + 1],)))
+    legs.append(_tree_path(tri, (gate_tris[-1],), v_tris))
 
+    triangles = tri.triangles
     panels: List[Panel] = []
     portals: List[Portal] = []
+    prev_tv: Tuple[int, ...] = ()
     for copy, leg in enumerate(legs):
-        t = transforms[copy]
+        pts = maps[copy]
+        map_into(pts, transforms[copy],
+                 {i for ti in leg for i in triangles[ti]})
         for j, ti in enumerate(leg):
-            world = tuple(t_apply(t, p) for p in tri.triangle_points(ti))
-            panel = Panel(copy, ti, world)
+            tv = triangles[ti]
+            a, b, c = tv
             if panels:
-                prev = panels[-1]
                 if j == 0:
                     # crossing mirror `copy`: portal is the mirror segment
                     ei = order[copy - 1][0]
-                    shared = (ei, (ei + 1) % m)
-                    portal_pts = (mirrors[copy - 1].a, mirrors[copy - 1].b)
+                    s0, s1 = ei % m, (ei + 1) % m
+                    left, right = mirrors[copy - 1]
                     mirror_idx = copy - 1
                 else:
-                    shared = tuple(x for x in tri.triangles[prev.tri]
-                                   if x in tri.triangles[ti])
+                    shared = [x for x in prev_tv if x in tv]
                     if len(shared) != 2:
                         raise GeometryError("consecutive panels share no "
                                             "diagonal")
-                    portal_pts = (t_apply(t, polygon.vertices[shared[0]]),
-                                  t_apply(t, polygon.vertices[shared[1]]))
+                    s0, s1 = shared
+                    left, right = pts[s0], pts[s1]
                     mirror_idx = -1
-                ropp = next(x for x in tri.triangles[ti] if x not in shared)
-                r_world = t_apply(t, polygon.vertices[ropp])
-                left, right = portal_pts
-                if orient_value(left, right, r_world) < 0.0:
+                # r_world is the corner off the portal; the test below is
+                # orient_value(left, right, r_world) < 0.0, inlined
+                r_world = pts[a + b + c - s0 - s1]
+                if ((right[0] - left[0]) * (r_world[1] - left[1])
+                        - (right[1] - left[1]) * (r_world[0] - left[0]) < 0.0):
                     left, right = right, left
                 portals.append(Portal(left, right, mirror_idx))
-            panels.append(panel)
+            panels.append(Panel(copy, ti, (pts[a], pts[b], pts[c])))
+            prev_tv = tv
 
     return Sleeve(tuple(panels), tuple(portals), tuple(mirrors),
                   tuple(g for _, g in order), tuple(transforms),
-                  v_pt, t_apply(transforms[-1], v_pt), vi, rp)
+                  v_pt, maps[-1][vi], vi, rp)
 
 
 def _dist2(a: Point, b: Point) -> float:
     return (a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2
-
-
-def _orient_sin(a: Point, b: Point, c: Point) -> float:
-    """Orientation of (a, b, c) normalized to the sine of the turn angle.
-
-    Dividing the raw cross product by |ab| |ac| turns the TAU_ORIENT
-    comparison into an angular tolerance, which keeps funnel decisions
-    sharp inside very thin sleeves where raw cross products underflow
-    an absolute threshold.
-    """
-    v = orient_value(a, b, c)
-    s = math.dist(a, b) * math.dist(a, c)
-    if s <= 0.0:
-        return 0.0
-    return v / s
 
 
 def shortest_path(sleeve: Sleeve) -> Tuple[Point, ...]:
@@ -359,6 +383,15 @@ def shortest_path(sleeve: Sleeve) -> Tuple[Point, ...]:
 
     Classic funnel walk: maintain an apex with left and right chains,
     emit the blocking chain point on crossover and restart there.
+
+    The walk runs on coordinates relative to the apex, and keeps each
+    chain point's offset and length until the apex moves.  A turn is the
+    cross product of two offsets, taken in ``orient_value``'s operand
+    order and divided by the product of their ``math.hypot`` lengths
+    (``math.dist`` computes the same), so it is the sine of the turn:
+    the TAU_ORIENT comparison becomes an angular tolerance, which keeps
+    funnel decisions sharp inside very thin sleeves where raw cross
+    products underflow an absolute threshold.
     """
     src = sleeve.source
     dst = sleeve.image
@@ -369,50 +402,62 @@ def shortest_path(sleeve: Sleeve) -> Tuple[Point, ...]:
 
     gates_pts = [(p.left, p.right) for p in sleeve.portals]
     gates_pts.append((dst, dst))
+    n_gates = len(gates_pts)
     eps = TAU_ORIENT
+    neg_eps = -eps
+    hypot = math.hypot
     # chain points this close to the apex carry no direction, only the
     # rounding noise of the unrolling transforms
     noise2 = 1e-12 ** 2
 
     path: List[Point] = [src]
-    apex = src
-    pl, pr = src, src
+    ax, ay = src
+    # the chain points, whether they sit at the apex (squared offset
+    # <= noise2), and else their offsets from the apex and lengths.  A
+    # turn is tested only between two points off the apex, whose lengths
+    # both exceed 1e-12, so the divisor is positive.
+    pl = pr = src
+    pl_at = pr_at = True
+    plx = ply = prx = pry = pl_len = pr_len = 0.0
     li = ri = -1
     i = 0
     guard = 0
-    max_steps = 16 * (len(gates_pts) + 2) ** 2 + 64
-    while i < len(gates_pts):
+    max_steps = 16 * (n_gates + 2) ** 2 + 64
+    while i < n_gates:
         guard += 1
         if guard > max_steps:
             raise GeometryError("funnel failed to converge")
         l, r = gates_pts[i]
         # tighten the right side; a portal point at the apex narrows
         # nothing and must not be judged by its rounding noise
-        if (_dist2(apex, r) <= noise2 or _dist2(apex, pr) <= noise2
-                or _orient_sin(apex, pr, r) >= -eps):
-            if (_dist2(apex, r) <= noise2 or _dist2(apex, pl) <= noise2
-                    or _orient_sin(apex, pl, r) <= eps):
-                pr = r
-                ri = i
+        x, y = r[0] - ax, r[1] - ay
+        r_at = x ** 2 + y ** 2 <= noise2
+        r_len = 0.0 if r_at else hypot(x, y)
+        if r_at or pr_at or (prx * y - pry * x) / (pr_len * r_len) >= neg_eps:
+            if r_at or pl_at or (plx * y - ply * x) / (pl_len * r_len) <= eps:
+                pr, pr_at, prx, pry, pr_len, ri = r, r_at, x, y, r_len, i
             else:
                 # right chain crossed the left: bend at the left point
                 path.append(pl)
-                apex = pl
-                pl, pr = apex, apex
+                pr = pl
+                ax, ay = pl
+                pl_at = pr_at = True
                 i = li + 1
                 li = ri = i - 1
                 continue
         # tighten the left side
-        if (_dist2(apex, l) <= noise2 or _dist2(apex, pl) <= noise2
-                or _orient_sin(apex, pl, l) <= eps):
-            if (_dist2(apex, l) <= noise2 or _dist2(apex, pr) <= noise2
-                    or _orient_sin(apex, pr, l) >= -eps):
-                pl = l
-                li = i
+        x, y = l[0] - ax, l[1] - ay
+        l_at = x ** 2 + y ** 2 <= noise2
+        l_len = 0.0 if l_at else hypot(x, y)
+        if l_at or pl_at or (plx * y - ply * x) / (pl_len * l_len) <= eps:
+            if (l_at or pr_at
+                    or (prx * y - pry * x) / (pr_len * l_len) >= neg_eps):
+                pl, pl_at, plx, ply, pl_len, li = l, l_at, x, y, l_len, i
             else:
                 path.append(pr)
-                apex = pr
-                pl, pr = apex, apex
+                pl = pr
+                ax, ay = pr
+                pl_at = pr_at = True
                 i = ri + 1
                 li = ri = i - 1
                 continue
@@ -471,8 +516,9 @@ def tour_length(cycle: Sequence[Point]) -> float:
     return total
 
 
-def _tag_point(p: Point, rp: ReducedPolygon, gates: Sequence[Gate]) -> TourTag:
-    source = rp.source
+def _tag_point(p: Point, source: Polygon, gates: Sequence[Gate]) -> TourTag:
+    """Tag p stable at a reflex vertex of the source polygon, else moving
+    on the first gate chord it touches, else stable at any vertex."""
     for vi in source.reflex_indices:
         if _dist2(source.vertices[vi], p) <= TAG_TOL * TAG_TOL:
             return TourTag("stable", vertex_index=vi)
@@ -496,6 +542,7 @@ def fold_back(sleeve: Sleeve, path: Sequence[Point]) -> Tour:
     polygon and moving when they sit on a gate chord.
     """
     theta = sleeve.rp.theta
+    source = sleeve.rp.source
     gates = sleeve.gates
     points = [Point(p[0], p[1]) for p in path]
     if not points:
@@ -507,7 +554,7 @@ def fold_back(sleeve: Sleeve, path: Sequence[Point]) -> Tour:
         for m in sleeve.mirrors:
             if point_segment_distance(p0, m) > TAU_ONEDGE:
                 raise GeometryError("degenerate path misses a mirror")
-        tag = _tag_point(p0, sleeve.rp, gates)
+        tag = _tag_point(p0, source, gates)
         return Tour((p0,), (tag,), 0.0, theta)
 
     # locate the ordered mirror crossings along the polyline
@@ -571,5 +618,5 @@ def fold_back(sleeve: Sleeve, path: Sequence[Point]) -> Tour:
         dedup.pop()
 
     cycle = tuple(dedup)
-    tags = tuple(_tag_point(p, sleeve.rp, gates) for p in cycle)
+    tags = tuple(_tag_point(p, source, gates) for p in cycle)
     return Tour(cycle, tags, tour_length(cycle), theta)

@@ -28,6 +28,7 @@ from .geom import (
     Point,
     Polygon,
     point_segment_distance,
+    segment_segment_intersection,
 )
 from .sleeve import (
     TAG_TOL,
@@ -35,6 +36,7 @@ from .sleeve import (
     Tour,
     TourTag,
     Triangulation,
+    _tag_point,
     fold_back,
     shortest_path,
     triangulate,
@@ -86,17 +88,6 @@ def _lowest_leftmost_index(P: Polygon) -> int:
         if (p.y, p.x) < (q.y, q.x):
             best = i
     return best
-
-
-def _stable_or_moving_tag(P: Polygon, p: Point, gates: Sequence[Gate]) -> TourTag:
-    for vi in P.reflex_indices:
-        v = P.vertices[vi]
-        if (v.x - p[0]) ** 2 + (v.y - p[1]) ** 2 <= TAG_TOL * TAG_TOL:
-            return TourTag("stable", vertex_index=vi)
-    for g in gates:
-        if point_segment_distance(p, g.chord) <= TAG_TOL:
-            return TourTag("moving", gate=g)
-    return TourTag("stable", vertex_index=None)
 
 
 def _common_tour_point(P: Polygon, gates: Sequence[Gate]) -> Optional[Point]:
@@ -238,7 +229,6 @@ def _last_vertex_before_first_mirror(sleeve: Sleeve,
                                      path: Tuple[Point, ...]) -> Optional[Point]:
     if len(path) < 2 or not sleeve.mirrors:
         return None
-    from .geom import segment_segment_intersection
     mirror = sleeve.mirrors[0]
     for j in range(len(path) - 1):
         x = segment_segment_intersection(path[j], path[j + 1],
@@ -277,7 +267,7 @@ def solve_theta(P: Polygon, theta) -> SolveResult:
 
     common = _common_tour_point(P, gates)
     if common is not None:
-        tag = _stable_or_moving_tag(P, common, gates)
+        tag = _tag_point(common, P, gates)
         tour = Tour((common,), (tag,), 0.0, theta)
         subs = tuple(decompose_subpaths(tour))
         return SolveResult(tour, cuts, gates, (common,), subs, theta,

@@ -186,6 +186,26 @@ def test_frozen_refine_falls_back_past_an_event():
     assert length == solve_theta(P, Angle(x)).tour.length
 
 
+def test_frozen_refine_keeps_every_frozen_structure(monkeypatch):
+    # the structure frozen at 14.0 is refused past the event above it
+    # and the one frozen there is refused below it; keeping both, the
+    # search solves once past the event and once at the argmin
+    P = make_polygon(spiral_corridor(1))
+    res0 = solve_theta(P, Angle(14.0))
+    solved = []
+
+    def counting_solve(P, theta):
+        solved.append(theta)
+        return solve_theta(P, theta)
+
+    monkeypatch.setattr(rotor, "solve_theta", counting_solve)
+    notes = []
+    got = rotor._refine_minimum(P, 13.5, 14.5, 14.0, res0, 1e-6, notes)
+    assert got == (14.145406184300118, 55.85066105419104)
+    assert len(solved) <= 2
+    assert len(notes) == len(solved) - 1
+
+
 def test_minimize_interval_flat(square, double):
     ang, val = minimize_interval(square, 10.0, 170.0)
     assert val == 0.0

@@ -18,18 +18,25 @@ from monowatch import (
 )
 from monowatch.gates import ReducedPolygon
 from monowatch.geom import (
+    T_IDENTITY,
     TAU_ONEDGE,
     TAU_ORIENT,
     GeometryError,
     Point,
     Polygon,
+    Segment,
     orient_value,
     reflect_point,
     ring_area,
     ring_contains,
+    t_apply,
+    t_compose,
+    t_reflection,
 )
+from monowatch.sleeve import Panel, Portal, Sleeve
 
 from conftest import (
+    TOOTHGAP_PTS,
     comb,
     corpus_polygon,
     make_polygon,
@@ -252,6 +259,254 @@ def test_panel_count_bound():
                 assert len(S.panels) <= 6 * len(tri.triangles)
                 checked += 1
     assert checked > 0
+
+
+# unroll and shortest_path as they were before the per-copy vertex
+# mapping, the dual-tree leg memo and the apex-relative funnel; the
+# library must build the same sleeves and paths, bit for bit
+def _reference_tree_path(tri, sources, targets):
+    target_set = set(targets)
+    parent = {s: None for s in sources}
+    queue = list(sources)
+    qi = 0
+    hit = None
+    for s in queue:
+        if s in target_set:
+            hit = s
+            break
+    while hit is None and qi < len(queue):
+        cur = queue[qi]
+        qi += 1
+        for nb in tri.neighbors[cur]:
+            if nb in parent:
+                continue
+            parent[nb] = cur
+            if nb in target_set:
+                hit = nb
+                break
+            queue.append(nb)
+    if hit is None:
+        raise GeometryError("triangulation dual graph is disconnected")
+    path = [hit]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    path.reverse()
+    return path
+
+
+def _reference_unroll(rp, tri, v):
+    """Unroll the sleeve of panels from vertex v across every gate chord.
+
+    Essential edges are taken in the order a counterclockwise boundary
+    walk from v meets them; each one becomes a mirror and everything
+    after it is reflected across the mirror's current image.
+    """
+    polygon = rp.polygon
+    m = polygon.n
+    if isinstance(v, int):
+        vi = v % m
+    else:
+        vi = polygon.find_vertex(Point(v[0], v[1]))
+        if vi is None:
+            raise GeometryError(f"{v} is not a vertex of the reduced polygon")
+    v_pt = polygon.vertices[vi]
+
+    order = sorted(rp.essential, key=lambda pair: (pair[0] - vi) % m)
+    if not order:
+        return Sleeve((), (), (), (), (T_IDENTITY,), v_pt, v_pt, vi, rp)
+
+    transforms = [T_IDENTITY]
+    mirrors = []
+    for ei, _gate in order:
+        e = polygon.edge(ei)
+        mirror = Segment(t_apply(transforms[-1], e.a), t_apply(transforms[-1], e.b))
+        mirrors.append(mirror)
+        transforms.append(t_compose(t_reflection(mirror), transforms[-1]))
+
+    v_tris = tri.vertex_tris.get(vi)
+    if not v_tris:
+        raise GeometryError(f"vertex {vi} belongs to no triangle")
+    gate_tris = [tri.boundary_edge_triangle(ei) for ei, _ in order]
+
+    legs = [_reference_tree_path(tri, v_tris, [gate_tris[0]])]
+    for i in range(len(order) - 1):
+        legs.append(_reference_tree_path(tri, [gate_tris[i]],
+                                         [gate_tris[i + 1]]))
+    legs.append(_reference_tree_path(tri, [gate_tris[-1]], v_tris))
+
+    panels = []
+    portals = []
+    for copy, leg in enumerate(legs):
+        t = transforms[copy]
+        for j, ti in enumerate(leg):
+            world = tuple(t_apply(t, p) for p in tri.triangle_points(ti))
+            panel = Panel(copy, ti, world)
+            if panels:
+                prev = panels[-1]
+                if j == 0:
+                    # crossing mirror `copy`: portal is the mirror segment
+                    ei = order[copy - 1][0]
+                    shared = (ei, (ei + 1) % m)
+                    portal_pts = (mirrors[copy - 1].a, mirrors[copy - 1].b)
+                    mirror_idx = copy - 1
+                else:
+                    shared = tuple(x for x in tri.triangles[prev.tri]
+                                   if x in tri.triangles[ti])
+                    if len(shared) != 2:
+                        raise GeometryError("consecutive panels share no "
+                                            "diagonal")
+                    portal_pts = (t_apply(t, polygon.vertices[shared[0]]),
+                                  t_apply(t, polygon.vertices[shared[1]]))
+                    mirror_idx = -1
+                ropp = next(x for x in tri.triangles[ti] if x not in shared)
+                r_world = t_apply(t, polygon.vertices[ropp])
+                left, right = portal_pts
+                if orient_value(left, right, r_world) < 0.0:
+                    left, right = right, left
+                portals.append(Portal(left, right, mirror_idx))
+            panels.append(panel)
+
+    return Sleeve(tuple(panels), tuple(portals), tuple(mirrors),
+                  tuple(g for _, g in order), tuple(transforms),
+                  v_pt, t_apply(transforms[-1], v_pt), vi, rp)
+
+
+def _dist2(a, b):
+    return (a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2
+
+
+def _orient_sin(a, b, c):
+    """Orientation of (a, b, c) normalized to the sine of the turn angle.
+
+    Dividing the raw cross product by |ab| |ac| turns the TAU_ORIENT
+    comparison into an angular tolerance, which keeps funnel decisions
+    sharp inside very thin sleeves where raw cross products underflow
+    an absolute threshold.
+    """
+    v = orient_value(a, b, c)
+    s = math.dist(a, b) * math.dist(a, c)
+    if s <= 0.0:
+        return 0.0
+    return v / s
+
+
+def _reference_shortest_path(sleeve):
+    """Taut path from sleeve.source to sleeve.image through the portals.
+
+    Classic funnel walk: maintain an apex with left and right chains,
+    emit the blocking chain point on crossover and restart there.
+    """
+    src = sleeve.source
+    dst = sleeve.image
+    if not sleeve.portals:
+        if _dist2(src, dst) <= (TAU_ONEDGE) ** 2:
+            return (src,)
+        return (src, dst)
+
+    gates_pts = [(p.left, p.right) for p in sleeve.portals]
+    gates_pts.append((dst, dst))
+    eps = TAU_ORIENT
+    # chain points this close to the apex carry no direction, only the
+    # rounding noise of the unrolling transforms
+    noise2 = 1e-12 ** 2
+
+    path = [src]
+    apex = src
+    pl, pr = src, src
+    li = ri = -1
+    i = 0
+    guard = 0
+    max_steps = 16 * (len(gates_pts) + 2) ** 2 + 64
+    while i < len(gates_pts):
+        guard += 1
+        if guard > max_steps:
+            raise GeometryError("funnel failed to converge")
+        l, r = gates_pts[i]
+        # tighten the right side; a portal point at the apex narrows
+        # nothing and must not be judged by its rounding noise
+        if (_dist2(apex, r) <= noise2 or _dist2(apex, pr) <= noise2
+                or _orient_sin(apex, pr, r) >= -eps):
+            if (_dist2(apex, r) <= noise2 or _dist2(apex, pl) <= noise2
+                    or _orient_sin(apex, pl, r) <= eps):
+                pr = r
+                ri = i
+            else:
+                # right chain crossed the left: bend at the left point
+                path.append(pl)
+                apex = pl
+                pl, pr = apex, apex
+                i = li + 1
+                li = ri = i - 1
+                continue
+        # tighten the left side
+        if (_dist2(apex, l) <= noise2 or _dist2(apex, pl) <= noise2
+                or _orient_sin(apex, pl, l) <= eps):
+            if (_dist2(apex, l) <= noise2 or _dist2(apex, pr) <= noise2
+                    or _orient_sin(apex, pr, l) >= -eps):
+                pl = l
+                li = i
+            else:
+                path.append(pr)
+                apex = pr
+                pl, pr = apex, apex
+                i = ri + 1
+                li = ri = i - 1
+                continue
+        i += 1
+
+    if _dist2(path[-1], dst) > 0.0:
+        path.append(dst)
+    out = []
+    for p in path:
+        if out and _dist2(out[-1], p) <= (1e-12) ** 2:
+            continue
+        out.append(p)
+    return tuple(out)
+
+
+
+
+def _sleeve_cases():
+    cases = []
+    for i, P in enumerate(mixed_corpus(200)):
+        rng = random.Random(i)
+        cases.extend((P, rng.uniform(0.0, 180.0)) for _ in range(10))
+    for k in (2, 8, 16, 32):
+        P = make_polygon(comb(k))
+        rng = random.Random(k)
+        cases.extend((P, rng.uniform(7.5 * j, 7.5 * (j + 1)))
+                     for j in range(24))
+    for seed in range(4):
+        P = make_polygon(spiral_corridor(seed))
+        rng = random.Random(seed)
+        cases.extend((P, rng.uniform(0.0, 180.0)) for _ in range(30))
+    P = make_polygon(TOOTHGAP_PTS)
+    cases.extend((P, 3.0 * j + 0.5) for j in range(60))
+    return cases
+
+
+def test_unroll_and_shortest_path_match_reference():
+    sleeves = paths_with_bends = 0
+    for P, th in _sleeve_cases():
+        res = solve_or_none(P, th)
+        if res is None or res.reduced is None:
+            continue
+        rp = res.reduced
+        tri = triangulate(rp)
+        for v in res.candidates:
+            want = _reference_unroll(rp, tri, v)
+            got = unroll(rp, tri, v)
+            # repr tells -0.0 from 0.0 and prints every float exactly
+            for name in ("portals", "panels", "mirrors", "transforms",
+                         "image", "source", "source_index", "gates"):
+                assert repr(getattr(got, name)) == repr(getattr(want, name)), \
+                    (name, th)
+            path = _reference_shortest_path(want)
+            assert repr(shortest_path(got)) == repr(path), th
+            sleeves += 1
+            paths_with_bends += len(path) > 2
+    assert sleeves >= 2000
+    assert paths_with_bends > 0
 
 
 def test_shortest_path_double_bends_at_chord_end(double):
