@@ -12,7 +12,7 @@ import argparse
 import json
 import math
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .cuts import ThetaCut, compute_cuts
 from .geom import (
@@ -41,6 +41,16 @@ class _InputError(Exception):
     pass
 
 
+class _EventRefusal(Exception):
+    """The requested angle sits on or near a critical angle."""
+
+    def __init__(self, theta_deg: float, kind: str, angle_deg: float):
+        super().__init__(kind)
+        self.theta_deg = theta_deg
+        self.kind = kind
+        self.angle_deg = angle_deg
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad flags by default, which collides with the
     # event-refusal code; route usage errors to exit 1 instead
@@ -54,14 +64,18 @@ class _Parser(argparse.ArgumentParser):
 # input documents
 
 
-def load_polygon(path: str) -> Tuple[Polygon, Optional[str]]:
+def _read_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise _InputError(f"{path}: {exc.strerror or exc}")
     except json.JSONDecodeError as exc:
         raise _InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
+
+
+def load_polygon(path: str) -> Tuple[Polygon, Optional[str]]:
+    doc = _read_json(path)
     if isinstance(doc, list):
         raw = doc
         name = None
@@ -93,13 +107,7 @@ def load_polygon(path: str) -> Tuple[Polygon, Optional[str]]:
 
 
 def load_tour(path: str) -> List[Point]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise _InputError(f"{path}: {exc.strerror or exc}")
-    except json.JSONDecodeError as exc:
-        raise _InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
+    doc = _read_json(path)
     raw = doc
     if isinstance(doc, dict):
         for key in ("tour", "cycle", "points", "vertices"):
@@ -143,13 +151,17 @@ def _doc_text(value) -> str:
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
-def emit_document(doc, path: Optional[str]) -> None:
-    text = _doc_text(doc) + "\n"
+def _write_text(path: Optional[str], text: str) -> None:
+    """Write text to path, or to stdout when path is None or "-"."""
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+
+
+def emit_document(doc, path: Optional[str]) -> None:
+    _write_text(path, _doc_text(doc) + "\n")
 
 
 def _point_doc(p: Point) -> list:
@@ -261,66 +273,44 @@ def render_svg(P: Polygon, cuts: Sequence[ThetaCut],
     return "\n".join(parts) + "\n"
 
 
-def _write_svg(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _near_event(P: Polygon, theta_deg: float):
-    best = None
-    best_d = math.inf
-    for ev in enumerate_candidate_events(P):
+def _at_angle(P: Polygon, theta_deg: float, run: Callable[[Angle], object]):
+    """run(Angle(theta_deg)), refused when theta sits on or near an event.
+
+    The nearest candidate event within EVENT_WINDOW_DEG refuses before
+    run starts; an EventAngleError from run refuses with its own kind.
+    """
+    def gap(ev) -> float:
         d = abs(ev.angle_deg - theta_deg)
-        d = min(d, 180.0 - d)
-        if d < best_d:
-            best_d = d
-            best = ev
-    if best is not None and best_d <= EVENT_WINDOW_DEG:
-        return best
-    return None
+        return min(d, 180.0 - d)
 
-
-def _refuse(theta_deg: float, kind: str, angle_deg: float) -> int:
-    lo = angle_deg - 10 * EVENT_WINDOW_DEG
-    hi = angle_deg + 10 * EVENT_WINDOW_DEG
-    print(f"error: theta {theta_deg:.6f} deg sits on or near a {kind} event "
-          f"at {angle_deg:.6f} deg; try {lo:.6f} or {hi:.6f}",
-          file=sys.stderr)
-    return EXIT_EVENT
+    near = min(enumerate_candidate_events(P), key=gap, default=None)
+    if near is not None and gap(near) <= EVENT_WINDOW_DEG:
+        raise _EventRefusal(theta_deg, near.type.value, near.angle_deg)
+    try:
+        return run(Angle(theta_deg))
+    except EventAngleError as exc:
+        ang = theta_deg if exc.angle is None else float(exc.angle)
+        raise _EventRefusal(theta_deg, exc.kind or "structure", ang)
 
 
 def cmd_solve(args) -> int:
     P, name = load_polygon(args.polygon)
-    theta = args.theta_deg
-    ev = _near_event(P, theta)
-    if ev is not None:
-        return _refuse(theta, ev.type.value, ev.angle_deg)
-    try:
-        res = solve_theta(P, Angle(theta))
-    except EventAngleError as exc:
-        ang = theta if exc.angle is None else float(exc.angle)
-        return _refuse(theta, exc.kind or "structure", ang)
+    res = _at_angle(P, args.theta_deg, lambda ang: solve_theta(P, ang))
     emit_document(solve_document(res, name), args.json)
     if args.svg:
-        _write_svg(args.svg, render_svg(P, res.cuts,
-                                        [g.cut for g in res.gates], res.tour))
+        _write_text(args.svg, render_svg(P, res.cuts,
+                                         [g.cut for g in res.gates], res.tour))
     return EXIT_OK
 
 
 def _load_config(path: Optional[str]) -> SweepConfig:
     if path is None:
         return SweepConfig()
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise _InputError(f"{path}: {exc.strerror or exc}")
-    except json.JSONDecodeError as exc:
-        raise _InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise _InputError(f"{path}: sweep config must be an object")
     cfg = SweepConfig()
@@ -340,12 +330,7 @@ def _write_csv(path: Optional[str],
                rows: Sequence[Tuple[float, float]]) -> None:
     lines = ["theta_deg,length"]
     lines.extend(f"{t:.9f},{l:.9f}" for t, l in rows)
-    text = "\n".join(lines) + "\n"
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def cmd_optimize(args) -> int:
@@ -374,22 +359,16 @@ def cmd_optimize(args) -> int:
             cuts = compute_cuts(P, report.best_theta)
         except EventAngleError:
             cuts = ()
-        _write_svg(args.svg, render_svg(P, cuts, (), report.best_tour))
+        _write_text(args.svg, render_svg(P, cuts, (), report.best_tour))
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     P, _ = load_polygon(args.polygon)
     pts = load_tour(args.tour)
-    theta = args.theta_deg
-    ev = _near_event(P, theta)
-    if ev is not None:
-        return _refuse(theta, ev.type.value, ev.angle_deg)
     try:
-        report = validate_tour(P, Angle(theta), pts)
-    except EventAngleError as exc:
-        ang = theta if exc.angle is None else float(exc.angle)
-        return _refuse(theta, exc.kind or "structure", ang)
+        report = _at_angle(P, args.theta_deg,
+                           lambda ang: validate_tour(P, ang, pts))
     except GeometryError as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return EXIT_VERIFY
@@ -467,6 +446,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except _EventRefusal as exc:
+        lo = exc.angle_deg - 10 * EVENT_WINDOW_DEG
+        hi = exc.angle_deg + 10 * EVENT_WINDOW_DEG
+        print(f"error: theta {exc.theta_deg:.6f} deg sits on or near a "
+              f"{exc.kind} event at {exc.angle_deg:.6f} deg; try {lo:.6f} "
+              f"or {hi:.6f}", file=sys.stderr)
+        return EXIT_EVENT
     except GeometryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

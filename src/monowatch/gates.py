@@ -151,10 +151,6 @@ class ReducedPolygon:
     source: Polygon
     removed_area: float = 0.0
 
-    @property
-    def essential_edges(self) -> Tuple[int, ...]:
-        return tuple(e for e, _ in self.essential)
-
 
 def _removal_side(arc: Tuple[float, float],
                   other_arcs: Sequence[Tuple[float, float]], n: int) -> str:

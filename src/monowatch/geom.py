@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 TAU_ORIENT = 1e-9
 TAU_ONEDGE = 1e-7
@@ -53,9 +53,6 @@ class Segment(NamedTuple):
 
     def midpoint(self) -> Point:
         return Point((self.a.x + self.b.x) / 2.0, (self.a.y + self.b.y) / 2.0)
-
-    def reversed(self) -> "Segment":
-        return Segment(self.b, self.a)
 
     def direction(self) -> Point:
         """Unit vector from a to b."""
@@ -385,19 +382,16 @@ class Polygon:
     which may legitimately contain collinear chains.
     """
 
-    __slots__ = ("vertices", "merged_count", "_area", "_reflex", "_bbox",
-                 "_diameter")
+    __slots__ = ("vertices", "_area", "_reflex", "_bbox", "_diameter")
 
     def __init__(self, vertices: Sequence, validate: bool = True):
         pts = [Point(float(p[0]), float(p[1])) for p in vertices]
         for p in pts:
             if not (math.isfinite(p.x) and math.isfinite(p.y)):
                 raise GeometryError("polygon vertices must be finite")
-        merged = 0
         if validate:
-            pts, merged = self._sanitize(pts)
+            pts = self._sanitize(pts)
         self.vertices: tuple = tuple(pts)
-        self.merged_count = merged
         self._area: Optional[float] = None
         self._reflex: Optional[tuple] = None
         self._bbox: Optional[tuple] = None
@@ -419,7 +413,6 @@ class Polygon:
             if math.hypot(pts[i].x - pts[j].x, pts[i].y - pts[j].y) <= TAU_ONEDGE:
                 raise GeometryError(f"duplicate consecutive vertices at index {i}")
         # merge collinear consecutive vertices (repeat until stable)
-        merged = 0
         changed = True
         while changed and len(pts) > 3:
             changed = False
@@ -429,10 +422,9 @@ class Polygon:
                 c = pts[(i + 1) % len(pts)]
                 if orient(a, b, c) == 0:
                     del pts[i]
-                    merged += 1
                     changed = True
                     break
-        return pts, merged
+        return pts
 
     def _validate(self) -> None:
         n = len(self.vertices)
@@ -465,16 +457,9 @@ class Polygon:
     def n(self) -> int:
         return len(self.vertices)
 
-    def vertex(self, i: int) -> Point:
-        return self.vertices[i % len(self.vertices)]
-
     def edge(self, i: int) -> Segment:
         v = self.vertices
         return Segment(v[i % len(v)], v[(i + 1) % len(v)])
-
-    def edges(self) -> Iterator[Segment]:
-        for i in range(len(self.vertices)):
-            yield self.edge(i)
 
     @property
     def area(self) -> float:
@@ -531,7 +516,6 @@ class ChordHit(NamedTuple):
     hi: Point
     edge_lo: int
     edge_hi: int
-    theta_used: float  # degrees actually used (after any nudge)
 
 
 def chord_through_vertex(P: Polygon, vi: int, theta: Angle,
@@ -617,20 +601,8 @@ def chord_through_vertex(P: Polygon, vi: int, theta: Angle,
             diagnostics.append(
                 f"chord through vertex {vi}: angle nudged by "
                 f"{attempt * CHORD_NUDGE_DEG:g} degrees to avoid a vertex hit")
-        return ChordHit(t_lo[2], t_hi[2], t_lo[1], t_hi[1], used)
+        return ChordHit(t_lo[2], t_hi[2], t_lo[1], t_hi[1])
     raise GeometryError(
         f"chord through vertex {vi} stays degenerate after nudging; "
         "input is outside the supported general position")
 
-
-def max_chord_through(P: Polygon, v, theta: Angle,
-                      diagnostics: Optional[list] = None) -> Segment:
-    """Maximal segment through polygon vertex v with direction theta."""
-    if isinstance(v, int):
-        vi = v % P.n
-    else:
-        vi = P.find_vertex(Point(v[0], v[1]))
-        if vi is None:
-            raise GeometryError(f"{v} is not a vertex of the polygon")
-    hit = chord_through_vertex(P, vi, theta, diagnostics)
-    return Segment(hit.lo, hit.hi)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -282,7 +281,7 @@ def reference_min_tour(P: Polygon, theta: Union[Angle, float],
 
 
 # ---------------------------------------------------------------------------
-# sweeps and corpora
+# sweeps
 
 
 def dense_sweep(P: Polygon, step_deg: float = 0.25,
@@ -307,28 +306,3 @@ def dense_sweep(P: Polygon, step_deg: float = 0.25,
         k += 1
     return out
 
-
-def jittered_circle_polygon(n: int, seed: int, radius: float = 10.0,
-                            jitter: float = 0.45,
-                            min_sep: float = 0.05) -> Polygon:
-    """Random star-shaped polygon: jittered radii at sorted angles.
-
-    Radial construction keeps the ring simple and counterclockwise for
-    free; enough jitter produces reflex vertices.
-    """
-    rng = random.Random(seed)
-    for _ in range(200):
-        angs = sorted(rng.uniform(0.0, 2.0 * math.pi) for _ in range(n))
-        gaps = [angs[(i + 1) % n] - angs[i] for i in range(n - 1)]
-        gaps.append(2.0 * math.pi - (angs[-1] - angs[0]))
-        if min(gaps) < min_sep:
-            continue
-        pts = []
-        for a in angs:
-            r = radius * (1.0 + rng.uniform(-jitter, jitter))
-            pts.append(Point(r * math.cos(a), r * math.sin(a)))
-        try:
-            return Polygon(pts)
-        except GeometryError:
-            continue
-    raise GeometryError("failed to generate a polygon")

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .cuts import VertexClass, _classify_direction
+from .cuts import ThetaCut, VertexClass, _classify_direction
 from .geom import (
     TAU_ORIENT,
     Angle,
@@ -36,7 +36,7 @@ from .geom import (
     reflect_point,
     segments_properly_cross,
 )
-from .sleeve import TAG_TOL, Tour
+from .sleeve import TAG_TOL, Tour, _dist2
 from .solver import SolveResult, solve_theta
 
 # angular tolerance for merging event angles into interval boundaries
@@ -174,17 +174,23 @@ def structure_signature(res: SolveResult) -> tuple:
     for p, t in zip(tour.cycle, tour.tags):
         if t.kind != "moving" or t.gate is None:
             continue
-        g = t.gate
-        key = (g.cut.vertex_index, g.cut.kind.value)
-        if _d2(p, g.cut.far_point) <= TAG_TOL * TAG_TOL:
-            touches.add(key + ("far",))
-        elif _d2(p, g.cut.vertex) <= TAG_TOL * TAG_TOL:
-            touches.add(key + ("vertex",))
+        end = _touched_end(p, t.gate.cut)
+        if end is not None:
+            touches.add((t.gate.cut.vertex_index, t.gate.cut.kind.value, end))
     return (stable, gate_vertices, gate_edges, tuple(sorted(touches)))
 
 
-def _d2(a, b) -> float:
-    return (a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2
+def _touched_end(p: Point, cut: ThetaCut) -> Optional[str]:
+    """The chord end a moving tour vertex sits on: "far", "vertex" or None.
+
+    The far end is tested first, so a vertex within TAG_TOL of both
+    counts as a far touch.
+    """
+    if _dist2(p, cut.far_point) <= TAG_TOL * TAG_TOL:
+        return "far"
+    if _dist2(p, cut.vertex) <= TAG_TOL * TAG_TOL:
+        return "vertex"
+    return None
 
 
 def _solve_robust(P: Polygon, ang_deg: float) -> Optional[SolveResult]:
@@ -251,9 +257,10 @@ def freeze_structure(P: Polygon, res: SolveResult) -> FrozenStructure:
         far = g.cut.far_point
         sign = 1.0 if ((far.x - v.x) * u.x + (far.y - v.y) * u.y) > 0 else -1.0
         edge = P.edge(g.cut.far_edge)
-        if _d2(p, far) <= TAG_TOL * TAG_TOL:
+        end = _touched_end(p, g.cut)
+        if end == "far":
             anchors.append(FrozenAnchor("touch_far", p, v, edge, sign))
-        elif _d2(p, v) <= TAG_TOL * TAG_TOL:
+        elif end == "vertex":
             anchors.append(FrozenAnchor("touch_vertex", v, v, edge, sign))
         else:
             anchors.append(FrozenAnchor("interior", p, v, edge, sign))
@@ -508,6 +515,8 @@ def _bisect_change(P: Polygon, a: float, res_a: SolveResult, b: float,
     res_lo, res_hi = res_a, res_b
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # lo and hi are adjacent floats; tol is below their spacing
         r = _solve_robust(P, mid)
         if r is None:
             break
@@ -638,6 +647,23 @@ def _scan_interval(P: Polygon, lo: float, hi: float, cfg: SweepConfig,
         state.brackets.append((a, b) + pts[i])
 
 
+def _check_config(cfg: SweepConfig) -> None:
+    """Refuse config values the sweep cannot run on, naming the key."""
+    spi = cfg.samples_per_interval
+    if not isinstance(spi, int) or spi < 2:
+        raise GeometryError(
+            f"sweep config samples_per_interval must be an integer >= 2, "
+            f"got {spi!r}")
+    for key, strict in (("refine_tol_deg", True),
+                        ("grid_fallback_step_deg", True),
+                        ("jump_threshold", False)):
+        val = getattr(cfg, key)
+        if not (math.isfinite(val) and (val > 0.0 if strict else val >= 0.0)):
+            bound = "> 0" if strict else ">= 0"
+            raise GeometryError(
+                f"sweep config {key} must be finite and {bound}, got {val!r}")
+
+
 def _sweep(P: Polygon, spans: Sequence[Tuple[float, float]],
            cfg: SweepConfig) -> Tuple[_ScanState, float, float]:
     """Scan every span, then refine; returns the best angle and length.
@@ -645,6 +671,7 @@ def _sweep(P: Polygon, spans: Sequence[Tuple[float, float]],
     A flat interval always wins, so the brackets are refined only when
     the scan found none.
     """
+    _check_config(cfg)
     state = _ScanState()
     for lo, hi in spans:
         _scan_interval(P, lo, hi, cfg, 0, state)

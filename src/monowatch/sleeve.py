@@ -473,13 +473,6 @@ def shortest_path(sleeve: Sleeve) -> Tuple[Point, ...]:
     return tuple(out)
 
 
-def path_length(points: Sequence[Point]) -> float:
-    total = 0.0
-    for i in range(len(points) - 1):
-        total += math.dist(points[i], points[i + 1])
-    return total
-
-
 @dataclass(frozen=True)
 class TourTag:
     """Why a tour vertex is where it is: pinned or sliding with theta."""

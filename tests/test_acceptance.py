@@ -15,7 +15,6 @@ from monowatch import (
     Angle,
     GeometryError,
     fold_back,
-    path_length,
     shortest_path,
     solve_theta,
     triangulate,
@@ -35,9 +34,9 @@ from monowatch.solver import decompose_subpaths
 from conftest import (
     DOUBLE_PTS,
     SQUARE_PTS,
-    TOOTHGAP_PTS,
     UNOTCH_PTS,
     corpus_polygon,
+    inputs,
     make_polygon,
     mixed_corpus,
     nonevent_angles,
@@ -76,7 +75,7 @@ def _corpus():
 def _fixture_report(name):
     if name not in _report_cache:
         pts = {"square": SQUARE_PTS, "unotch": UNOTCH_PTS,
-               "double": DOUBLE_PTS, "toothgap": TOOTHGAP_PTS}[name]
+               "double": DOUBLE_PTS, "toothgap": inputs.TOOTHGAP_PTS}[name]
         P = make_polygon(pts)
         _report_cache[name] = (P, optimize(P))
     return _report_cache[name]
@@ -138,7 +137,8 @@ def test_criterion_4_unrolling_is_isometric():
                 S = unroll(res.reduced, tri, v)
                 path = shortest_path(S)
                 tour = fold_back(S, path)
-                assert abs(tour.length - path_length(path)) <= 1e-9
+                path_len = sum(map(math.dist, path, path[1:]))
+                assert abs(tour.length - path_len) <= 1e-9
                 folded += 1
             reflections += _assert_reflection_angles(res.tour)
     assert folded > 0

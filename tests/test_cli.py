@@ -134,14 +134,29 @@ def test_exit_one_on_bad_inputs(tmp_path, capsys):
         assert "error" in err, argv
 
 
-def test_unknown_config_key(tmp_path, capsys):
+@pytest.mark.parametrize("doc", [
+    pytest.param({"sample_count": 9}, id="sample_count"),
+    pytest.param({"samples_per_interval": 1}, id="samples_per_interval-1"),
+    pytest.param({"samples_per_interval": 0}, id="samples_per_interval-0"),
+    pytest.param({"refine_tol_deg": 0}, id="refine_tol_deg-0"),
+    pytest.param({"refine_tol_deg": -1}, id="refine_tol_deg-neg"),
+    pytest.param({"refine_tol_deg": "nan"}, id="refine_tol_deg-nan"),
+    pytest.param({"grid_fallback_step_deg": 0}, id="grid_fallback_step_deg-0"),
+    pytest.param({"grid_fallback_step_deg": "inf"},
+                 id="grid_fallback_step_deg-inf"),
+    pytest.param({"jump_threshold": -0.5}, id="jump_threshold-neg"),
+])
+def test_unknown_config_key(tmp_path, capsys, doc):
+    """Unknown keys and values the sweep cannot run on exit 1, naming
+    the key."""
+    (key,) = doc
     poly = _write_polygon(tmp_path, SQUARE_PTS)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"sample_count": 9}))
+    cfg.write_text(json.dumps(doc))
     rc, _, err = _run(capsys, ["optimize", "--polygon", poly,
                                "--config", str(cfg)])
     assert rc == 1
-    assert "sample_count" in err
+    assert key in err
 
 
 def test_optimize_double(tmp_path, capsys):

@@ -11,7 +11,12 @@ from monowatch import (
     left_region_contains,
 )
 from monowatch.cuts import VertexClass
-from monowatch.geom import Point, max_chord_through, ring_contains, split_ring
+from monowatch.geom import (
+    Point,
+    chord_through_vertex,
+    ring_contains,
+    split_ring,
+)
 
 from conftest import corpus_polygon
 
@@ -85,9 +90,9 @@ def test_cut_pair_union_is_max_chord():
                 assert len(pair) == 2
                 assert {c.kind.value for c in pair} == {"Forward", "Backward"}
                 assert len({c.color for c in pair}) == 1
-                chord = max_chord_through(P, v, Angle(th))
+                chord = chord_through_vertex(P, v, Angle(th))
                 ends = {tuple(c.far_point) for c in pair}
-                for e in (chord.a, chord.b):
+                for e in (chord.lo, chord.hi):
                     assert any(math.dist(e, f) <= 1e-7 for f in ends)
 
 

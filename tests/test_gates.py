@@ -15,7 +15,7 @@ from monowatch import (
 )
 from monowatch.geom import TAU_ONEDGE, ring_area, ring_contains
 
-from conftest import corpus_polygon, make_polygon, mixed_corpus, spiral_corridor
+from conftest import corpus_polygon, mixed_corpus, spiral_corridor
 
 
 def _cut(cuts, vertex, kind):
@@ -182,7 +182,7 @@ def test_gates_match_ring_reference():
         rng = random.Random(i)
         cases.extend((P, rng.uniform(0.0, 180.0)) for _ in range(10))
     for seed in range(4):
-        P = make_polygon(spiral_corridor(seed))
+        P = spiral_corridor(seed)
         rng = random.Random(seed)
         cases.extend((P, rng.uniform(0.0, 180.0)) for _ in range(30))
     compared = with_common = 0

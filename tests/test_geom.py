@@ -10,7 +10,7 @@ from monowatch.geom import (
     Point,
     Polygon,
     Segment,
-    max_chord_through,
+    chord_through_vertex,
     normalize_deg,
     orient,
     reflect_point,
@@ -104,12 +104,12 @@ def test_polygon_rejects_self_intersection():
 
 
 def test_max_chord_fixture_values(double, unotch):
-    c = max_chord_through(double, 7, Angle(0.0))
-    assert {tuple(c.a), tuple(c.b)} == {(0.0, 2.0), (5.5, 2.0)}
-    c = max_chord_through(double, 2, Angle(0.0))
-    assert {tuple(c.a), tuple(c.b)} == {(2.5, 4.0), (8.0, 4.0)}
-    c = max_chord_through(unotch, 4, Angle(0.0))
-    assert {tuple(c.a), tuple(c.b)} == {(0.0, 2.0), (8.0, 2.0)}
+    c = chord_through_vertex(double, 7, Angle(0.0))
+    assert {tuple(c.lo), tuple(c.hi)} == {(0.0, 2.0), (5.5, 2.0)}
+    c = chord_through_vertex(double, 2, Angle(0.0))
+    assert {tuple(c.lo), tuple(c.hi)} == {(2.5, 4.0), (8.0, 4.0)}
+    c = chord_through_vertex(unotch, 4, Angle(0.0))
+    assert {tuple(c.lo), tuple(c.hi)} == {(0.0, 2.0), (8.0, 2.0)}
 
 
 def _on_boundary(P, p, tol):
@@ -130,8 +130,8 @@ def test_max_chord_endpoints_on_boundary_midpoint_inside():
         P = corpus_polygon(seed)
         for v in P.reflex_indices:
             for th in (13.7, 61.2, 149.9):
-                c = max_chord_through(P, v, Angle(th))
-                assert _on_boundary(P, c.a, 10 * TAU_ONEDGE)
-                assert _on_boundary(P, c.b, 10 * TAU_ONEDGE)
-                mid = Point((c.a.x + c.b.x) / 2, (c.a.y + c.b.y) / 2)
+                c = chord_through_vertex(P, v, Angle(th))
+                assert _on_boundary(P, c.lo, 10 * TAU_ONEDGE)
+                assert _on_boundary(P, c.hi, 10 * TAU_ONEDGE)
+                mid = Point((c.lo.x + c.hi.x) / 2, (c.lo.y + c.hi.y) / 2)
                 assert ring_contains(P.vertices, mid) == 1

@@ -5,12 +5,11 @@ import pytest
 from monowatch import Angle, GeometryError, solve_theta
 from monowatch.oracle import (
     dense_sweep,
-    jittered_circle_polygon,
     reference_min_tour,
     validate_tour,
 )
 
-from conftest import notched_polygon
+from conftest import notched_polygon, star_polygon
 
 
 def test_validate_accepts_solver_output(double):
@@ -102,7 +101,7 @@ def test_dense_sweep_double_row(double):
 
 def test_jittered_polygon_shape():
     for n, seed in ((6, 0), (9, 4), (14, 11)):
-        P = jittered_circle_polygon(n, seed)
+        P = star_polygon(n, seed)
         assert len(P.vertices) == n
         for v in P.vertices:
             r = math.hypot(v.x, v.y)
@@ -110,8 +109,8 @@ def test_jittered_polygon_shape():
 
 
 def test_jittered_polygon_deterministic():
-    a = jittered_circle_polygon(8, 3)
-    b = jittered_circle_polygon(8, 3)
+    a = star_polygon(8, 3)
+    b = star_polygon(8, 3)
     assert [tuple(p) for p in a.vertices] == [tuple(p) for p in b.vertices]
-    c = jittered_circle_polygon(8, 4)
+    c = star_polygon(8, 4)
     assert [tuple(p) for p in a.vertices] != [tuple(p) for p in c.vertices]

@@ -21,7 +21,7 @@ from monowatch.rotor import (
     structure_signature,
 )
 
-from conftest import make_polygon, spiral_corridor
+from conftest import spiral_corridor
 
 # best tour lengths of spiral-corridor seeds 0-3, all positive
 SPIRAL_BEST = {0: 32.00004204900216, 1: 12.167388781825078,
@@ -49,7 +49,7 @@ def spiral_sweeps():
         solves = _counting(mp, "solve_theta")
         evals = _counting(mp, "evaluate_close_tour")
         for seed in SPIRAL_BEST:
-            P = make_polygon(spiral_corridor(seed))
+            P = spiral_corridor(seed)
             solves[0] = evals[0] = 0
             out[seed] = (P, optimize(P), solves[0], evals[0])
     return out
@@ -140,7 +140,7 @@ def test_frozen_structure_refuses_past_validity_event():
     # spiral seed 1 has its best tour just below the Validity event of
     # reflex vertex 14 and edge 14; past it, without the color check,
     # the frozen length reads 12.08 where a solve gives 55.86
-    P = make_polygon(spiral_corridor(1))
+    P = spiral_corridor(1)
     event = next(e for e in enumerate_candidate_events(P)
                  if e.type is EventType.VALIDITY and e.witnesses == (14, 14))
     assert event.angle_deg == pytest.approx(12.11602, abs=1e-5)
@@ -157,7 +157,7 @@ def test_chord_along_its_edge_is_a_validity_event():
     # 14->15 is not yet parallel within TAU_ORIENT, and the Blue forward
     # chord runs along it to end 2.5e-8 from vertex 15; that angle is
     # refused as the event itself, so the robust solve steps off it
-    P = make_polygon(spiral_corridor(1))
+    P = spiral_corridor(1)
     event = next(e for e in enumerate_candidate_events(P)
                  if e.type is EventType.VALIDITY and e.witnesses == (14, 14))
     for d in (1e-7, 1e-8):
@@ -176,7 +176,7 @@ def test_frozen_refine_falls_back_past_an_event():
     # the bracket straddles the Validity events at 12.87882 degrees:
     # the structure frozen at 12.6 is refused past them, that angle is
     # solved in full and the search goes on from its structure
-    P = make_polygon(spiral_corridor(1))
+    P = spiral_corridor(1)
     notes = []
     x, length = rotor._refine_minimum(P, 12.5, 13.3, 12.6,
                                       solve_theta(P, Angle(12.6)), 1e-6, notes)
@@ -190,7 +190,7 @@ def test_frozen_refine_keeps_every_frozen_structure(monkeypatch):
     # the structure frozen at 14.0 is refused past the event above it
     # and the one frozen there is refused below it; keeping both, the
     # search solves once past the event and once at the argmin
-    P = make_polygon(spiral_corridor(1))
+    P = spiral_corridor(1)
     res0 = solve_theta(P, Angle(14.0))
     solved = []
 
@@ -235,6 +235,15 @@ def test_minimize_interval_wraps(double):
 def test_minimize_interval_rejects_empty(double):
     with pytest.raises(GeometryError):
         minimize_interval(double, 40.0, 40.0)
+
+
+def test_refine_tol_below_float_spacing_terminates(double):
+    # bisection stops once its ends are adjacent floats; it used to spin
+    rep = optimize(double, SweepConfig(refine_tol_deg=1e-300))
+    assert rep.best_length == 0.0
+    hidden = sorted(round(e.angle_deg, 4) for e in rep.events
+                    if e.type in (EventType.BENDING, EventType.CUDDLE))
+    assert hidden == [165.9637, 165.9665]
 
 
 def test_optimize_square(square):

@@ -9,10 +9,10 @@ from monowatch import (
     compute_cuts,
     compute_gates,
     fold_back,
-    path_length,
     reduce_polygon,
     shortest_path,
     solve_theta,
+    tour_length,
     triangulate,
     unroll,
 )
@@ -36,9 +36,9 @@ from monowatch.geom import (
 from monowatch.sleeve import Panel, Portal, Sleeve
 
 from conftest import (
-    TOOTHGAP_PTS,
     comb,
     corpus_polygon,
+    inputs,
     make_polygon,
     mixed_corpus,
     notched_polygon,
@@ -162,12 +162,12 @@ def test_triangulate_matches_reference_on_reduced_polygons():
         rng = random.Random(i)
         cases.extend((P, rng.uniform(0.0, 180.0)) for _ in range(10))
     for k in (2, 8, 16, 32):
-        P = make_polygon(comb(k))
+        P = comb(k)
         rng = random.Random(k)
         cases.extend((P, rng.uniform(7.5 * j, 7.5 * (j + 1)))
                      for j in range(24))
     for seed in range(4):
-        P = make_polygon(spiral_corridor(seed))
+        P = spiral_corridor(seed)
         rng = random.Random(seed)
         cases.extend((P, rng.uniform(0.0, 180.0)) for _ in range(30))
     compared = 0
@@ -223,7 +223,8 @@ def test_unroll_degenerate_without_essential_edges(square):
     S = unroll(rp, triangulate(rp), square.vertices[0])
     assert len(S.mirrors) == 0
     assert tuple(S.source) == tuple(S.image)
-    assert path_length(shortest_path(S)) == 0.0
+    path = shortest_path(S)
+    assert sum(map(math.dist, path, path[1:])) == 0.0
 
 
 def test_unroll_double_from_lower_gate_vertex(double):
@@ -472,15 +473,15 @@ def _sleeve_cases():
         rng = random.Random(i)
         cases.extend((P, rng.uniform(0.0, 180.0)) for _ in range(10))
     for k in (2, 8, 16, 32):
-        P = make_polygon(comb(k))
+        P = comb(k)
         rng = random.Random(k)
         cases.extend((P, rng.uniform(7.5 * j, 7.5 * (j + 1)))
                      for j in range(24))
     for seed in range(4):
-        P = make_polygon(spiral_corridor(seed))
+        P = spiral_corridor(seed)
         rng = random.Random(seed)
         cases.extend((P, rng.uniform(0.0, 180.0)) for _ in range(30))
-    P = make_polygon(TOOTHGAP_PTS)
+    P = make_polygon(inputs.TOOTHGAP_PTS)
     cases.extend((P, 3.0 * j + 0.5) for j in range(60))
     return cases
 
@@ -516,7 +517,8 @@ def test_shortest_path_double_bends_at_chord_end(double):
     S = unroll(rp, triangulate(rp), Point(2.0, 2.0))
     path = shortest_path(S)
     assert len(path) == 3
-    assert path_length(path) == pytest.approx(math.sqrt(17.0), abs=1e-12)
+    assert sum(map(math.dist, path, path[1:])) == pytest.approx(
+        math.sqrt(17.0), abs=1e-12)
     tour = fold_back(S, path)
     assert tour.length == pytest.approx(math.sqrt(17.0), abs=1e-12)
     assert sorted(tuple(p) for p in tour.cycle) == [(2.0, 2.0), (2.5, 4.0)]
@@ -547,7 +549,8 @@ def test_fold_back_isometry_and_shortest_choice():
                 S = unroll(rp, tri, v)
                 path = shortest_path(S)
                 tour = fold_back(S, path)
-                assert abs(tour.length - path_length(path)) <= 1e-9
+                path_len = sum(map(math.dist, path, path[1:]))
+                assert abs(tour.length - path_len) <= 1e-9
                 best = min(best, tour.length)
             assert res.tour.length == pytest.approx(best, abs=1e-9)
             if res.tour.length > 1e-9:
@@ -595,8 +598,8 @@ def test_tour_structural_invariants(toothgap):
         res = solve_theta(toothgap, Angle(th))
         tour = res.tour
         # closing length is consistent
-        assert tour.length == pytest.approx(path_length(
-            list(tour.cycle) + [tour.cycle[0]]), abs=1e-9)
+        assert tour.length == pytest.approx(tour_length(tour.cycle),
+                                            abs=1e-9)
         reflex_pts = [toothgap.vertices[i]
                       for i in toothgap.reflex_indices]
         for p, tag in zip(tour.cycle, tour.tags):

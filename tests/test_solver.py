@@ -7,8 +7,8 @@ from monowatch import (
     Angle,
     EventAngleError,
     GeometryError,
-    path_length,
     solve_theta,
+    tour_length,
 )
 from monowatch.oracle import validate_tour
 from monowatch.solver import decompose_subpaths
@@ -176,7 +176,7 @@ def test_moving_vertices_locally_optimal():
                     moved = list(cyc)
                     from monowatch.geom import Point
                     moved[i] = Point(ch.a.x + t * ux, ch.a.y + t * uy)
-                    new_len = path_length(moved + [moved[0]])
+                    new_len = tour_length(moved)
                     assert new_len + 1e-8 >= res.tour.length
                     trials += 1
     assert trials > 0
