@@ -1,12 +1,14 @@
 import collections
 import math
+from dataclasses import dataclass, field
 
 import pytest
 
 from monowatch import Angle, EventAngleError, GeometryError, rotor, solve_theta
-from monowatch.geom import Point, Segment
+from monowatch.geom import Point, Segment, normalize_deg
 from monowatch.oracle import dense_sweep, validate_tour
 from monowatch.rotor import (
+    ANGLE_MERGE_DEG,
     Event,
     EventType,
     FrozenAnchor,
@@ -21,11 +23,163 @@ from monowatch.rotor import (
     structure_signature,
 )
 
-from conftest import spiral_corridor
+from conftest import (
+    DOUBLE_PTS,
+    SPIRAL_PTS,
+    SQUARE_PTS,
+    UNOTCH_PTS,
+    comb,
+    corpus_polygon,
+    inputs,
+    make_polygon,
+    notched_polygon,
+    spiral_corridor,
+)
+from test_acceptance import SWEEP_JIT_SEEDS, SWEEP_NOTCH_SEEDS
 
-# best tour lengths of spiral-corridor seeds 0-3, all positive
+# best tour lengths of spiral-corridor seeds 0-7, all positive, as the
+# full-solve scan (``_reference_scan``) and its refinement found them
 SPIRAL_BEST = {0: 32.00004204900216, 1: 12.167388781825078,
-               2: 12.118853679525888, 3: 32.00980913569557}
+               2: 12.118853679525888, 3: 32.00980913569557,
+               4: 12.01312209914476, 5: 31.543325506678674,
+               6: 32.82385748514271, 7: 32.05186086124718}
+
+
+# ---------------------------------------------------------------------------
+# reference: the interval scan that solved every sample in full
+
+
+@dataclass
+class _RefState:
+    detected: list = field(default_factory=list)
+    samples: list = field(default_factory=list)
+    intervals: list = field(default_factory=list)
+    candidates: list = field(default_factory=list)
+    flats: list = field(default_factory=list)
+    brackets: list = field(default_factory=list)
+    notes: list = field(default_factory=list)
+
+
+def _reference_bisect(P, a, res_a, b, res_b, tol):
+    sig_a = structure_signature(res_a)
+    lo, hi = a, b
+    res_lo, res_hi = res_a, res_b
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # lo and hi are adjacent floats; tol is below their spacing
+        r = rotor._solve_robust(P, mid)
+        if r is None:
+            break
+        if structure_signature(r) == sig_a:
+            lo, res_lo = mid, r
+        else:
+            hi, res_hi = mid, r
+    return 0.5 * (lo + hi), rotor._classify_split(P, res_lo, res_hi)
+
+
+def _reference_scan(P, lo, hi, cfg, depth, state):
+    width = hi - lo
+    if width <= max(cfg.refine_tol_deg, 10 * ANGLE_MERGE_DEG) or depth > 6:
+        mid = 0.5 * (lo + hi)
+        r = rotor._solve_robust(P, mid)
+        if r is not None:
+            state.samples.append((normalize_deg(mid), r.tour.length))
+            state.candidates.append((mid, r.tour.length))
+        state.intervals.append((lo, hi))
+        return
+
+    delta = min(1e-4, width / 100.0)
+    n = int(min(cfg.samples_per_interval,
+                max(8, math.ceil(width / cfg.grid_fallback_step_deg) + 1)))
+    xs = [lo + delta + i * (width - 2 * delta) / (n - 1) for i in range(n)]
+    solved = [(x, rotor._solve_robust(P, x)) for x in xs]
+    pts = [(x, r) for x, r in solved if r is not None]
+    if not pts:
+        state.intervals.append((lo, hi))
+        state.notes.append(f"interval ({lo:.6f},{hi:.6f}) unsolvable")
+        return
+    sigs = [structure_signature(r) for _, r in pts]
+    lens = [r.tour.length for _, r in pts]
+    jump_cap = cfg.jump_threshold * (1.0 + P.diameter)
+
+    for i in range(len(pts) - 1):
+        if sigs[i] != sigs[i + 1] or abs(lens[i + 1] - lens[i]) > jump_cap:
+            ang, etype = _reference_bisect(P, pts[i][0], pts[i][1],
+                                           pts[i + 1][0], pts[i + 1][1],
+                                           cfg.refine_tol_deg)
+            state.detected.append(Event(Angle(ang), etype))
+            _reference_scan(P, lo, ang, cfg, depth + 1, state)
+            _reference_scan(P, ang, hi, cfg, depth + 1, state)
+            return
+
+    state.intervals.append((lo, hi))
+    state.samples.extend((normalize_deg(x), r.tour.length) for x, r in pts)
+    if all(L <= 1e-12 for L in lens):
+        state.flats.append((width, normalize_deg(0.5 * (lo + hi))))
+        state.candidates.append((0.5 * (lo + hi), 0.0))
+        return
+
+    minima = []
+    for i in range(len(pts)):
+        left = lens[i - 1] if i > 0 else math.inf
+        right = lens[i + 1] if i + 1 < len(pts) else math.inf
+        if lens[i] <= left and lens[i] <= right:
+            minima.append((lens[i], i))
+    minima.sort()
+    for _, i in minima[:16]:
+        a = pts[i - 1][0] if i > 0 else lo + delta
+        b = pts[i + 1][0] if i + 1 < len(pts) else hi - delta
+        state.brackets.append((a, b) + pts[i])
+
+
+def _reference_sweep(P, cfg):
+    """The reference scan over every event-free interval, then the best
+    length: a flat interval wins, else each bracket is refined."""
+    state = _RefState()
+    spans = rotor._interval_list(P, enumerate_candidate_events(P))
+    for lo, hi in spans:
+        _reference_scan(P, lo, hi, cfg, 0, state)
+    if state.flats:
+        return state, 0.0
+    for a, b, x0, res0 in state.brackets:
+        got = rotor._refine_minimum(P, a, b, x0, res0, cfg.refine_tol_deg,
+                                    [])
+        if got is not None:
+            state.candidates.append(got)
+    return state, min(L for _, L in state.candidates)
+
+
+def _comparison_inputs():
+    """The fixtures, combs k=2/4/8, spiral seeds 0-7 and the 25
+    criterion-7 polygons, by label."""
+    out = {"square": make_polygon(SQUARE_PTS),
+           "unotch": make_polygon(UNOTCH_PTS),
+           "double": make_polygon(DOUBLE_PTS),
+           "spiral": make_polygon(SPIRAL_PTS),
+           "toothgap": make_polygon(inputs.TOOTHGAP_PTS)}
+    for k in (2, 4, 8):
+        out[f"comb{k}"] = comb(k)
+    for seed in range(8):
+        out[f"spiral{seed}"] = spiral_corridor(seed)
+    for seed in SWEEP_JIT_SEEDS:
+        out[f"star{seed}"] = corpus_polygon(seed)
+    for seed in SWEEP_NOTCH_SEEDS:
+        out[f"notched{seed}"] = notched_polygon(seed)
+    return out
+
+
+@pytest.fixture(scope="module")
+def scan_pairs():
+    """Label -> (polygon, reference state and best, rotor state and best)."""
+    cfg = SweepConfig()
+    out = {}
+    for label, P in _comparison_inputs().items():
+        ref = _reference_sweep(P, cfg)
+        spans = rotor._interval_list(P, enumerate_candidate_events(P))
+        state, _, best = rotor._sweep(P, spans, cfg)
+        out[label] = (P, ref, (state, best))
+    return out
 
 
 def _counting(mp, name):
@@ -340,3 +494,28 @@ def test_optimize_is_deterministic(double):
     assert [e.sort_key() for e in a.events] == [e.sort_key() for e in b.events]
     assert a.intervals == b.intervals
     assert a.samples == b.samples
+
+
+def test_scan_matches_reference_samples_and_intervals(scan_pairs):
+    for label, (_, (ref, _), (new, _)) in scan_pairs.items():
+        assert sorted(new.intervals) == sorted(ref.intervals), label
+        got = sorted(new.samples)
+        want = sorted(ref.samples)
+        assert [x for x, _ in got] == [x for x, _ in want], label
+        for (_, a), (_, b) in zip(got, want):
+            assert a == pytest.approx(b, rel=1e-9, abs=1e-12), label
+
+
+def test_scan_matches_reference_events(scan_pairs):
+    tol = SweepConfig().refine_tol_deg
+    for label, (_, (ref, _), (new, _)) in scan_pairs.items():
+        got = sorted(new.detected, key=lambda e: e.angle_deg)
+        want = sorted(ref.detected, key=lambda e: e.angle_deg)
+        assert [e.type for e in got] == [e.type for e in want], label
+        for e, f in zip(got, want):
+            assert abs(e.angle_deg - f.angle_deg) <= tol, label
+
+
+def test_scan_matches_reference_best_length(scan_pairs):
+    for label, (P, (_, ref_best), (_, best)) in scan_pairs.items():
+        assert best == pytest.approx(ref_best, rel=1e-9, abs=1e-12), label
