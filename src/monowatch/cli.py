@@ -24,7 +24,12 @@ from .geom import (
     ring_area,
 )
 from .oracle import dense_sweep, validate_tour
-from .rotor import SweepConfig, enumerate_candidate_events, optimize
+from .rotor import (
+    EVENT_WINDOW_DEG,
+    SweepConfig,
+    enumerate_candidate_events,
+    optimize,
+)
 from .sleeve import Tour
 from .solver import SolveResult, solve_theta
 
@@ -32,9 +37,6 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_EVENT = 2
 EXIT_VERIFY = 3
-
-# requested angles closer than this to a candidate event are refused
-EVENT_WINDOW_DEG = 1e-3
 
 
 class _InputError(Exception):

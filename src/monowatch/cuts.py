@@ -90,6 +90,15 @@ def _classify_direction(P: Polygon, vi: int, ux: float, uy: float) -> VertexClas
     nxt = P.vertices[(vi + 1) % P.n]
     s_prev = ux * (prev.y - v.y) - uy * (prev.x - v.x)
     s_next = ux * (nxt.y - v.y) - uy * (nxt.x - v.x)
+    return color_of_sides(s_prev, s_next)
+
+
+def color_of_sides(s_prev: float, s_next: float) -> VertexClass:
+    """Class of a reflex vertex from the sides of its two neighbours.
+
+    Each side is the cross product of the line's direction with the
+    offset from the vertex to that neighbour.
+    """
     if abs(s_prev) <= TAU_ORIENT or abs(s_next) <= TAU_ORIENT:
         return VertexClass.BOUNDARY
     if s_prev < 0.0 and s_next < 0.0:

@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field, replace
+from typing import FrozenSet, List, Optional, Sequence, Tuple, Union
 
-from .cuts import ThetaCut, VertexClass, _classify_direction
+from .cuts import ThetaCut, VertexClass, _classify_direction, color_of_sides
 from .geom import (
     TAU_ORIENT,
     Angle,
@@ -33,24 +33,37 @@ from .geom import (
     Polygon,
     Segment,
     normalize_deg,
-    reflect_point,
+    point_segment_distance,
     segments_properly_cross,
 )
+from .gates import Gate
 from .sleeve import TAG_TOL, Tour, _dist2
-from .solver import SolveResult, solve_theta
+from .solver import SolveResult, beats, solve_theta
 
 # angular tolerance for merging event angles into interval boundaries
 ANGLE_MERGE_DEG = 1e-9
 # probe offset used when classifying a pair alignment
 CLASSIFY_PROBE_DEG = 1e-6
+# angles this close to a candidate event count as the event itself: the
+# CLI refuses to solve there, and a detected event this close to an
+# enumerated one restates it
+EVENT_WINDOW_DEG = 1e-3
 
 
 class StructureInfeasibleError(GeometryError):
     """A frozen tour structure stops being realizable at the asked angle.
 
-    Signals that a structure event (Bending or Cuddle at least) happens
-    between the freeze angle and the requested one.
+    Signals that a structure event happens between the freeze angle and
+    the requested one.  A failed certificate names the event type its
+    failure marks and the vertex it watches; other refusals name
+    neither.
     """
+
+    def __init__(self, message: str, event_type: Optional["EventType"] = None,
+                 witness: Tuple[int, ...] = ()):
+        super().__init__(message)
+        self.event_type = event_type
+        self.witness = witness
 
 
 class EventType(enum.Enum):
@@ -203,16 +216,29 @@ def _solve_robust(P: Polygon, ang_deg: float) -> Optional[SolveResult]:
 
 
 # ---------------------------------------------------------------------------
-# frozen structures
+# frozen structures and their certificates
 
 
 @dataclass(frozen=True)
 class FrozenAnchor:
-    kind: str  # "stable" | "touch_vertex" | "touch_far" | "interior"
+    """One tour vertex of a frozen structure, or one gate of a point tour.
+
+    ``index`` is the polygon vertex the anchor answers for: the stable
+    vertex itself, or the reflex vertex issuing the anchor's gate.
+    ``wedge`` is the bisector of the exterior wedge at a stable reflex
+    vertex, as the sum of its two edges' unit vectors.  ``side`` is the
+    side of a point tour's common point on the line of a gate chord (0
+    leaves it unwatched).
+    """
+
+    kind: str  # "stable" | "touch_far" | "interior" | "gate"
     point: Point
     gate_vertex: Optional[Point] = None
     gate_edge: Optional[Segment] = None
     ray_sign: float = 0.0
+    index: Optional[int] = None
+    wedge: Optional[Tuple[float, float]] = None
+    side: float = 0.0
 
 
 @dataclass
@@ -222,8 +248,18 @@ class FrozenStructure:
     Stable anchors stay put; a far-endpoint touch follows the gate
     chord's intersection with its frozen polygon edge; interior moving
     anchors re-solve as perfect reflections on the rotated chord lines.
-    ``colors`` holds the color of every reflex vertex at the freeze
-    angle, so that an evaluation past a Validity event is refused.
+    ``colors`` holds every reflex vertex with the offsets to its two
+    neighbours and its color at the freeze angle, and ``walls`` every polygon edge with a reflex end, as
+    (index or None, x, y) for each end, None unless the end is reflex.
+
+    Every candidate tour of the freezing solve is kept: ``rivals`` holds
+    one frozen tour per distinct tour, up to rotation, and ``order``
+    places each candidate, in the solve's order, as (rival, offset) with
+    its cycle starting ``offset`` vertices into the rival's.  Rival 0 is
+    the winner, ``anchors``, and ``watched`` holds per rival the
+    (anchor, certificate) pairs to check.  A point tour keeps one
+    "gate" anchor per gate and, in ``common``, the gate its point lies
+    on with the point's fraction of that chord.
     """
 
     polygon: Polygon
@@ -231,41 +267,164 @@ class FrozenStructure:
     base_length: float
     kind: str  # "point" or "tour"
     anchors: Tuple[FrozenAnchor, ...] = ()
-    colors: Tuple[VertexClass, ...] = ()
+    colors: Tuple[Tuple[int, float, float, float, float, VertexClass],
+                  ...] = ()
+    walls: Tuple[tuple, ...] = ()
+    common: Optional[Tuple[int, float]] = None
+    rivals: Tuple[Tuple[FrozenAnchor, ...], ...] = ()
+    order: Tuple[Tuple[int, int], ...] = ()
+    watched: Tuple[FrozenSet[Tuple[int, str]], ...] = ()
 
 
-def _reflex_colors(P: Polygon, ux: float, uy: float) -> Tuple[VertexClass, ...]:
-    return tuple(_classify_direction(P, vi, ux, uy) for vi in P.reflex_indices)
+def _reflex_colors(P: Polygon, u: Point):
+    out = []
+    for vi in P.reflex_indices:
+        v = P.vertices[vi]
+        a = P.vertices[vi - 1]
+        b = P.vertices[(vi + 1) % P.n]
+        out.append((vi, a.x - v.x, a.y - v.y, b.x - v.x, b.y - v.y,
+                    _classify_direction(P, vi, u.x, u.y)))
+    return tuple(out)
+
+
+def _gate_anchor(kind: str, p: Point, gate: Gate, P: Polygon, u: Point,
+                 index: int) -> FrozenAnchor:
+    v = gate.cut.vertex
+    far = gate.cut.far_point
+    sign = 1.0 if ((far.x - v.x) * u.x + (far.y - v.y) * u.y) > 0 else -1.0
+    return FrozenAnchor(kind, p, v, P.edge(gate.cut.far_edge), sign, index)
+
+
+def _wedge(P: Polygon, wi: int) -> Tuple[float, float]:
+    w = P.vertices[wi]
+    out = [0.0, 0.0]
+    for q in (P.vertices[wi - 1], P.vertices[(wi + 1) % P.n]):
+        d = math.dist(q, w)
+        out[0] += (q.x - w.x) / d
+        out[1] += (q.y - w.y) / d
+    return (out[0], out[1])
+
+
+def _tour_anchors(P: Polygon, tour: Tour, gates: Sequence[Gate],
+                  u: Point) -> Tuple[FrozenAnchor, ...]:
+    """One anchor per tour vertex, in cycle order.
+
+    A stable vertex that issues exactly one gate carries that gate's
+    chord, so that its release into the chord can be watched.
+    """
+    reflex = P.reflex_indices
+    anchors: List[FrozenAnchor] = []
+    for p, t in zip(tour.cycle, tour.tags):
+        if t.kind == "moving" and t.gate is None:
+            raise GeometryError("moving tour vertex without a gate")
+        if t.kind == "moving" and _touched_end(p, t.gate.cut) != "vertex":
+            g = t.gate
+            kind = ("touch_far" if _touched_end(p, g.cut) == "far"
+                    else "interior")
+            anchors.append(_gate_anchor(kind, p, g, P, u,
+                                        g.cut.vertex_index))
+            continue
+        if t.kind == "moving":
+            p, vi = t.gate.cut.vertex, t.gate.cut.vertex_index
+        else:
+            vi = t.vertex_index
+        own = [g for g in gates if g.cut.vertex_index == vi]
+        a = (_gate_anchor("stable", p, own[0], P, u, vi) if len(own) == 1
+             else FrozenAnchor("stable", p, index=vi))
+        anchors.append(replace(a, wedge=_wedge(P, vi)) if vi in reflex
+                       else a)
+    return tuple(anchors)
+
+
+def _rotation(shape: tuple, other: tuple) -> Optional[int]:
+    """The offset r with other[k] == shape[(k + r) % m], if any."""
+    m = len(shape)
+    if len(other) != m:
+        return None
+    for r in range(m):
+        if all(other[k] == shape[(k + r) % m] for k in range(m)):
+            return r
+    return None
 
 
 def freeze_structure(P: Polygon, res: SolveResult) -> FrozenStructure:
+    """Freeze the solve's tour and every candidate tour it tried.
+
+    A candidate tour's first vertex is its start, where the solve pinned
+    it, so a certificate there is not watched for that candidate.  The
+    candidates that are one tour from different starts share one frozen
+    rival, which watches every certificate that holds at the freeze
+    angle and is free to fail for at least one of them.
+    """
     tour = res.tour
     u = res.theta.direction()
-    colors = _reflex_colors(P, u.x, u.y)
+    colors = _reflex_colors(P, u)
+    reflex = set(P.reflex_indices)
+    walls = []
+    for i in range(P.n):
+        j = (i + 1) % P.n
+        if i in reflex or j in reflex:
+            a, b = P.vertices[i], P.vertices[j]
+            walls.append((i if i in reflex else None, a.x, a.y,
+                          j if j in reflex else None, b.x, b.y))
+    walls = tuple(walls)
     if len(tour.cycle) == 1:
-        return FrozenStructure(P, res.theta.degrees, tour.length, "point",
-                               colors=colors)
-    anchors: List[FrozenAnchor] = []
-    for p, t in zip(tour.cycle, tour.tags):
-        if t.kind == "stable":
-            anchors.append(FrozenAnchor("stable", p))
-            continue
-        g = t.gate
-        if g is None:
-            raise GeometryError("moving tour vertex without a gate")
-        v = g.cut.vertex
-        far = g.cut.far_point
-        sign = 1.0 if ((far.x - v.x) * u.x + (far.y - v.y) * u.y) > 0 else -1.0
-        edge = P.edge(g.cut.far_edge)
-        end = _touched_end(p, g.cut)
-        if end == "far":
-            anchors.append(FrozenAnchor("touch_far", p, v, edge, sign))
-        elif end == "vertex":
-            anchors.append(FrozenAnchor("touch_vertex", v, v, edge, sign))
+        return _freeze_point(P, res, colors, walls)
+    tours = list(res.rivals) or [tour]
+    first = next(i for i, t in enumerate(tours) if t is tour)
+    rivals: List[Tuple[FrozenAnchor, ...]] = []
+    shapes: List[tuple] = []
+    starts: List[set] = []
+    order: List[Tuple[int, int]] = [(0, 0)] * len(tours)
+    for i in [first] + [j for j in range(len(tours)) if j != first]:
+        anchors = _tour_anchors(P, tours[i], res.gates, u)
+        shape = tuple((a.kind, a.index, a.ray_sign) for a in anchors)
+        for ri, known in enumerate(shapes):
+            r = _rotation(known, shape)
+            if r is not None:
+                order[i] = (ri, r)
+                starts[ri].add(r)
+                break
         else:
-            anchors.append(FrozenAnchor("interior", p, v, edge, sign))
+            order[i] = (len(rivals), 0)
+            rivals.append(anchors)
+            shapes.append(shape)
+            starts.append({0})
+    watched = []
+    for anchors, pinned_at in zip(rivals, starts):
+        held: FrozenSet[Tuple[int, str]] = frozenset()
+        if any(a.kind != "interior" for a in anchors):
+            _, _, _, checks = _tour_state(anchors, u.x, u.y, None)
+            held = frozenset(
+                (k, name) for k, name, _, violated, _ in checks
+                if not violated and pinned_at != {k})
+        watched.append(held)
     return FrozenStructure(P, res.theta.degrees, tour.length, "tour",
-                           tuple(anchors), colors)
+                           rivals[0], colors, walls, None, tuple(rivals),
+                           tuple(order), tuple(watched))
+
+
+def _freeze_point(P: Polygon, res: SolveResult, colors, walls):
+    tour = res.tour
+    u = res.theta.direction()
+    p = tour.cycle[0]
+    gates = res.gates
+    owner = next((k for k, g in enumerate(gates)
+                  if point_segment_distance(p, g.chord) <= TAG_TOL), None)
+    anchors = []
+    for g in gates:
+        v = g.cut.vertex
+        side = u.x * (p.y - v.y) - u.y * (p.x - v.x)
+        a = _gate_anchor("gate", g.cut.far_point, g, P, u, g.cut.vertex_index)
+        anchors.append(replace(a, side=math.copysign(1.0, side)
+                               if abs(side) > TAG_TOL else 0.0))
+    common = None
+    if owner is not None:
+        g = gates[owner]
+        common = (owner, math.dist(p, g.cut.vertex)
+                  / math.dist(g.cut.far_point, g.cut.vertex))
+    return FrozenStructure(P, res.theta.degrees, tour.length, "point",
+                           tuple(anchors), colors, walls, common)
 
 
 def _far_endpoint(anchor: FrozenAnchor, ux: float, uy: float) -> Point:
@@ -293,130 +452,312 @@ def _far_endpoint(anchor: FrozenAnchor, ux: float, uy: float) -> Point:
     return Point(v.x + t * dx, v.y + t * dy)
 
 
-def _line_intersection_param(a: Point, b: Point, mirror: Segment) -> float:
-    """Param t on segment a->b where it meets the mirror's line."""
-    q = mirror.a
-    dx = mirror.b.x - q.x
-    dy = mirror.b.y - q.y
-    rx = b.x - a.x
-    ry = b.y - a.y
-    denom = rx * dy - ry * dx
-    if abs(denom) <= TAU_ORIENT * 1e-3:
+def _unfold(a0: float, s0: float, lines: Sequence[float], a1: float,
+            s1: float) -> Tuple[float, List[float]]:
+    """Geodesic from (a0, s0) to (a1, s1) bouncing off lines s = c in order.
+
+    Coordinates run along u (a) and normal to it (s).  Every chord line
+    is parallel to u, so a reflection maps s to 2c - s and keeps a: the
+    unfolded mirrors and the image of the end are one-dimensional, and
+    a foot keeps its along coordinate when folded back.  Returns the
+    length and each foot's along coordinate.
+    """
+    img: List[float] = []
+    for c in lines:
+        for d in img:
+            c = 2.0 * d - c
+        img.append(c)
+    s = s1
+    for d in img:
+        s = 2.0 * d - s
+    da = a1 - a0
+    ds = s - s0
+    feet: List[float] = []
+    if img and abs(ds) <= TAU_ORIENT * 1e-3:
         raise StructureInfeasibleError("unfolded run is parallel to a chord "
                                        "line")
-    return ((q.x - a.x) * dy - (q.y - a.y) * dx) / denom
+    prev = 0.0
+    for d in img:
+        t = (d - s0) / ds
+        if t < prev - 1e-9 or t > 1.0 + 1e-9:
+            raise StructureInfeasibleError("reflection feet leave order on "
+                                           "the unfolded segment")
+        prev = max(prev, t)
+        feet.append(a0 + t * da)
+    return math.hypot(da, ds), feet
+
+
+def _certificate(name: str, vi: Optional[int], what: str,
+                 etype: Optional[EventType]) -> StructureInfeasibleError:
+    return StructureInfeasibleError(f"{name} certificate of vertex {vi} "
+                                    f"fails: {what}", etype,
+                                    () if vi is None else (vi,))
 
 
 def evaluate_close_tour(S: FrozenStructure, eps_deg: float) -> float:
-    """Tour length of the frozen structure at theta + eps_deg.
+    """Tour length of the frozen structure at theta + eps_deg, certified.
 
-    Raises StructureInfeasibleError when the structure cannot exist at
-    the perturbed angle, which means some event sits in between.  A
-    reflex vertex whose color differs from its color at the freeze
-    angle marks a Validity event in between.
+    Raises StructureInfeasibleError when a certificate fails at the
+    perturbed angle, which means an event sits in between.  The error
+    names the certificate, the vertex it watches and the event type its
+    failure marks:
+
+    - colour: a reflex vertex changes color (Validity);
+    - inside: an interior moving vertex comes within TAG_TOL of its
+      chord's far end (Cuddle) or reflex vertex (Bending);
+    - press: a touch, or a stable vertex on its own gate chord, would
+      slide more than TAG_TOL into the chord if released (Cuddle for a
+      touch, Bending for a stable vertex);
+    - turn: the tour stops wrapping around a stable reflex vertex
+      (Bending);
+    - edge: a tour edge properly crosses an edge at a reflex vertex,
+      which then catches the tour (Bending);
+    - rival: another candidate tour of the freezing solve changes its
+      own structure, or would now be chosen under the solve's rule
+      ``beats``;
+    - side: a point tour's common point crosses the line of a gate
+      chord.
+
+    The first five read the tags ``structure_signature`` reads, with the
+    tagging tolerance, so each fails where the signature of a full solve
+    changes.  The last two name no event type: the solves on either
+    side tell.
     """
     phi = S.theta_deg + eps_deg
     r = math.radians(phi)
     ux = math.cos(r)
     uy = math.sin(r)
-    if _reflex_colors(S.polygon, ux, uy) != S.colors:
-        raise StructureInfeasibleError(
-            f"a reflex vertex changes color between {S.theta_deg:.6f} and "
-            f"{phi:.6f} degrees")
+    for vi, ax, ay, bx, by, color in S.colors:
+        if color_of_sides(ux * ay - uy * ax, ux * by - uy * bx) is not color:
+            raise _certificate("colour", vi, f"it changes color between "
+                               f"{S.theta_deg:.6f} and {phi:.6f} degrees",
+                               EventType.VALIDITY)
     if S.kind == "point":
+        _check_point(S, ux, uy)
         return 0.0
-    u = Point(ux, uy)
+    if all(a.kind == "interior" for a in S.anchors):
+        return _all_interior_length(S, Point(ux, uy))
 
-    known: List[Optional[Point]] = []
-    for a in S.anchors:
-        if a.kind == "stable" or a.kind == "touch_vertex":
-            known.append(a.point)
-        elif a.kind == "touch_far":
-            known.append(_far_endpoint(a, ux, uy))
-        else:
-            known.append(None)
+    states = []
+    for i, anchors in enumerate(S.rivals):
+        al, no, length, failed = _tour_state(anchors, ux, uy, S.watched[i])
+        if failed:
+            k, name, etype, _, what = failed[0]
+            if i == 0:
+                raise _certificate(name, anchors[k].index, what, etype)
+            raise _certificate("rival", anchors[0].index, f"the candidate "
+                               f"tour through it changes: {what}", None)
+        states.append((length, al, no))
+    _, al, no = states[0]
+    pts = [Point(a * ux - s * uy, a * uy + s * ux) for a, s in zip(al, no)]
+    m = len(pts)
+    for k in range(m):
+        wi = _caught_by(pts[k], pts[(k + 1) % m], S.walls)
+        if wi is not None:
+            raise _certificate("edge", wi, "a tour edge crosses the "
+                               "boundary at it", EventType.BENDING)
+    if len(S.order) > 1:
+        best = None
+        for ri, off in S.order:
+            length, al, no = states[ri]
+            cyc = _Cycle(al, no, off, ux, uy)
+            if best is None or beats(length, cyc, best[1], best[2]):
+                best = (ri, length, cyc)
+        if best[0] != 0:
+            raise _certificate("rival", S.rivals[best[0]][0].index,
+                               "the candidate tour through it would be "
+                               "chosen", None)
+    return states[0][0]
 
-    m = len(S.anchors)
-    if all(k is None for k in known):
-        return _all_interior_length(S, u)
 
-    start = next(i for i in range(m) if known[i] is not None)
+class _Cycle:
+    """A frozen tour's vertices in world coordinates, from its coordinates
+    along and normal to u, starting ``off`` vertices in; made only if
+    ``beats`` needs to break a tie."""
+
+    def __init__(self, al, no, off, ux, uy):
+        self.al, self.no, self.off, self.ux, self.uy = al, no, off, ux, uy
+
+    def __len__(self) -> int:
+        return len(self.al)
+
+    def __iter__(self):
+        m = len(self.al)
+        for j in range(m):
+            a = self.al[(j + self.off) % m]
+            s = self.no[(j + self.off) % m]
+            yield (a * self.ux - s * self.uy, a * self.uy + s * self.ux)
+
+
+def _tour_state(anchors: Sequence[FrozenAnchor], ux: float, uy: float,
+                watch: Optional[FrozenSet[Tuple[int, str]]]):
+    """A frozen tour at direction u, and the checks of its certificates.
+
+    Needs at least one pinned (stable or touching) anchor.  Returns the
+    coordinates of every tour vertex along u and normal to it, the
+    length and the checks as (anchor, certificate, event type, violated,
+    message): every check when watch is None, else only the watched ones
+    that are violated.
+    """
+    m = len(anchors)
+    al: List[float] = [0.0] * m  # coordinate along u
+    no: List[float] = [0.0] * m  # coordinate normal to u
+    lines: List[float] = [0.0] * m
+    pinned: List[int] = []
+    for k, a in enumerate(anchors):
+        if a.gate_vertex is not None:
+            v = a.gate_vertex
+            lines[k] = v.y * ux - v.x * uy
+        if a.kind != "interior":
+            p = a.point if a.kind == "stable" else _far_endpoint(a, ux, uy)
+            al[k] = p.x * ux + p.y * uy
+            no[k] = p.y * ux - p.x * uy
+            pinned.append(k)
+
+    # runs between consecutive pinned anchors: (i, interior run, j)
+    runs = []
     total = 0.0
-    i = start
-    while True:
-        j = (i + 1) % m
-        run: List[int] = []
-        while known[j] is None:
-            run.append(j)
-            j = (j + 1) % m
-        total += _run_length(S, known[i], run, known[j], u)
-        i = j
-        if i == start:
-            break
-    return total
+    for pi, i in enumerate(pinned):
+        j = pinned[(pi + 1) % len(pinned)]
+        run = [(i + d) % m for d in range(1, (j - i) % m or m)]
+        length, feet = _unfold(al[i], no[i], [lines[q] for q in run],
+                               al[j], no[j])
+        for q, foot in zip(run, feet):
+            al[q], no[q] = foot, lines[q]
+        runs.append((i, run, j))
+        total += length
+
+    checks = []
+    for k, a in enumerate(anchors):
+        if a.kind != "interior" or (watch is not None
+                                    and (k, "inside") not in watch):
+            continue
+        v = a.gate_vertex
+        av = v.x * ux + v.y * uy
+        t = (al[k] - av) * a.ray_sign
+        far = _far_endpoint(a, ux, uy)
+        t_far = (far.x * ux + far.y * uy - av) * a.ray_sign
+        checks.append((k, "inside", EventType.CUDDLE, t >= t_far - TAG_TOL,
+                       "the moving vertex reaches the far end of its chord"))
+        checks.append((k, "inside", EventType.BENDING, t <= TAG_TOL,
+                       "the moving vertex reaches its reflex vertex"))
+    for pi, k in enumerate(pinned if len(pinned) > 1 else ()):
+        a = anchors[k]
+        if a.wedge is not None and (watch is None or (k, "turn") in watch):
+            checks.append((k, "turn", EventType.BENDING,
+                           not _wraps(a.wedge, al, no, k, ux, uy),
+                           "the tour stops wrapping around the vertex"))
+        if a.gate_vertex is None or (watch is not None
+                                     and (k, "press") not in watch):
+            continue
+        # where the vertex would sit if released into its chord
+        i, left, _ = runs[pi - 1]
+        _, right, j = runs[pi]
+        try:
+            _, feet = _unfold(al[i], no[i],
+                              [lines[q] for q in left + [k] + right],
+                              al[j], no[j])
+        except StructureInfeasibleError:
+            continue
+        av = a.gate_vertex.x * ux + a.gate_vertex.y * uy
+        t = (feet[len(left)] - av) * a.ray_sign
+        if a.kind == "touch_far":
+            checks.append((k, "press", EventType.CUDDLE,
+                           t < (al[k] - av) * a.ray_sign - TAG_TOL,
+                           "the far-end touch releases into its chord"))
+        else:
+            checks.append((k, "press", EventType.BENDING, t > TAG_TOL,
+                           "the tour releases the vertex into its gate "
+                           "chord"))
+    if watch is not None:
+        checks = [c for c in checks if c[3]]
+    return al, no, total, checks
 
 
-def _chord_param_bounds(S: FrozenStructure, idx: int, u: Point) -> Tuple[float, float]:
-    a = S.anchors[idx]
-    far = _far_endpoint(a, u.x, u.y)
-    v = a.gate_vertex
-    t_far = (far.x - v.x) * u.x * a.ray_sign + (far.y - v.y) * u.y * a.ray_sign
-    return (0.0, t_far)
+def _wraps(wedge: Tuple[float, float], al: Sequence[float],
+           no: Sequence[float], k: int, ux: float, uy: float) -> bool:
+    """Whether the tour corner at anchor k wraps around its reflex vertex.
+
+    A geodesic bends at a reflex vertex only around the polygon's
+    exterior wedge there, which then lies inside the angle between its
+    two legs: the legs' bisector points the way of the wedge's.  Once
+    the legs straighten and bend the other way, the corner no longer
+    holds the tour.  Works in the coordinates along and normal to u.
+    """
+    m = len(al)
+    sx = sy = 0.0
+    for q in (k - 1, (k + 1) % m):
+        dx = al[q] - al[k]
+        dy = no[q] - no[k]
+        d = math.hypot(dx, dy)
+        if d > 0.0:
+            sx += dx / d
+            sy += dy / d
+    wx, wy = wedge
+    return (wx * ux + wy * uy) * sx + (wy * ux - wx * uy) * sy > 0.0
 
 
-def _run_length(S: FrozenStructure, A: Point, run: Sequence[int], B: Point,
-                u: Point) -> float:
-    """Geodesic length from A to B bouncing off each run chord in order."""
-    if not run:
-        return math.dist(A, B)
-    # unfold: mirror k is the image of chord line k under the reflections
-    # accumulated so far, and B is pushed through the whole stack
-    mirrors: List[Segment] = []
-    for i in run:
-        v = S.anchors[i].gate_vertex
-        m = Segment(v, Point(v.x + u.x, v.y + u.y))
-        for prev in mirrors:
-            m = Segment(reflect_point(m.a, prev), reflect_point(m.b, prev))
-        mirrors.append(m)
-    B_img = B
-    for m in mirrors:
-        B_img = reflect_point(B_img, m)
+def _check_point(S: FrozenStructure, ux: float, uy: float) -> None:
+    """The common point stays on its side of every gate chord line."""
+    if S.common is None:
+        return
+    owner, lam = S.common
+    g = S.anchors[owner]
+    far = _far_endpoint(g, ux, uy)
+    v = g.gate_vertex
+    px = v.x + lam * (far.x - v.x)
+    py = v.y + lam * (far.y - v.y)
+    for h in S.anchors:
+        w = h.gate_vertex
+        if h.side and h.side * (ux * (py - w.y) - uy * (px - w.x)) <= 0.0:
+            raise _certificate("side", h.index, "the common point crosses "
+                               "the line of its gate chord", None)
 
-    length = math.dist(A, B_img)
-    # feet of the straight unfolded segment, checked against chord extents
-    prev_t = 0.0
-    feet_world: List[Point] = []
-    for k, m in enumerate(mirrors):
-        t = _line_intersection_param(A, B_img, m)
-        if t < prev_t - 1e-9 or t > 1.0 + 1e-9:
-            raise StructureInfeasibleError("reflection feet leave order on "
-                                           "the unfolded segment")
-        prev_t = max(prev_t, t)
-        foot = Point(A.x + t * (B_img.x - A.x), A.y + t * (B_img.y - A.y))
-        # fold the foot back to the original chord line
-        for back in reversed(mirrors[:k]):
-            foot = reflect_point(foot, back)
-        feet_world.append(foot)
-    for k, idx in enumerate(run):
-        lo, hi = _chord_param_bounds(S, idx, u)
-        v = S.anchors[idx].gate_vertex
-        sgn = S.anchors[idx].ray_sign
-        t = ((feet_world[k].x - v.x) * u.x + (feet_world[k].y - v.y) * u.y) * sgn
-        if t < lo - 1e-7 or t > hi + 1e-7:
-            raise StructureInfeasibleError("a moving vertex slides off its "
-                                           "gate chord")
-    return length
+
+def _caught_by(p: Point, q: Point, walls) -> Optional[int]:
+    """A reflex vertex at which the segment pq leaves the polygon.
+
+    pq must properly cross an edge at a reflex vertex (as
+    ``segments_properly_cross`` decides); the vertex is the reflex end
+    nearer the crossing, and it must stand off the line of pq by more
+    than the funnel's angular tolerance (TAU_ORIENT, a sine) seen from
+    p, where the funnel that built the tour had its apex, since the
+    funnel bends the tour there only then.
+    """
+    px, py = p
+    qx, qy = q
+    dx = qx - px
+    dy = qy - py
+    eps = TAU_ORIENT
+    for ia, ax, ay, ib, bx, by in walls:
+        sa = dx * (ay - py) - dy * (ax - px)
+        sb = dx * (by - py) - dy * (bx - px)
+        if not ((sa > eps and sb < -eps) or (sa < -eps and sb > eps)):
+            continue
+        ex = bx - ax
+        ey = by - ay
+        tp = ex * (py - ay) - ey * (px - ax)
+        tq = ex * (qy - ay) - ey * (qx - ax)
+        if not ((tp > eps and tq < -eps) or (tp < -eps and tq > eps)):
+            continue
+        if ib is None or (ia is not None and abs(sa) < abs(sb)):
+            wi, wx, wy, sw = ia, ax, ay, sa
+        else:
+            wi, wx, wy, sw = ib, bx, by, sb
+        if abs(sw) > eps * math.hypot(dx, dy) * math.hypot(wx - px, wy - py):
+            return wi
+    return None
 
 
 def _all_interior_length(S: FrozenStructure, u: Point) -> float:
     """Closed tour that only reflects, off chord lines parallel to u.
 
-    The same unfolding as ``_run_length``: reflecting across lines
-    parallel to u keeps the unfolded tour's component along u, so a tour
-    that closes runs across the chords at right angles.  Its length is
-    the normal distance between consecutive chord lines, summed, and
-    all its vertices share one coordinate along u, which must lie on
-    every chord.
+    The same unfolding as ``_unfold``: reflecting across lines parallel
+    to u keeps the unfolded tour's component along u, so a tour that
+    closes runs across the chords at right angles.  Its length is the
+    normal distance between consecutive chord lines, summed, and all its
+    vertices share one coordinate along u, which must lie on every
+    chord.
     """
     anchors = S.anchors
     total = 0.0
@@ -426,9 +767,8 @@ def _all_interior_length(S: FrozenStructure, u: Point) -> float:
         v = a.gate_vertex
         w = anchors[i - 1].gate_vertex
         total += abs(u.x * (v.y - w.y) - u.y * (v.x - w.x))
-        lo, hi = _chord_param_bounds(S, i, u)
-        p = v.x * u.x + v.y * u.y
-        ends = sorted((p + a.ray_sign * lo, p + a.ray_sign * hi))
+        far = _far_endpoint(a, u.x, u.y)
+        ends = sorted((v.x * u.x + v.y * u.y, far.x * u.x + far.y * u.y))
         lows.append(ends[0])
         highs.append(ends[1])
     if min(highs) < max(lows) - 1e-9:
@@ -457,13 +797,68 @@ def _interval_list(P: Polygon, events: Sequence[Event]) -> List[Tuple[float, flo
 
 
 @dataclass
+class _Frozen:
+    """A structure frozen from a full solve at sweep angle x.
+
+    x is the angle the solve actually ran at, kept on the sweep's
+    unwrapped scale (plus any nudge ``_solve_robust`` applied) so that
+    offsets from it stay small across the 180 seam.
+    """
+
+    x: float
+    res: SolveResult
+    S: FrozenStructure
+    sig: tuple
+
+    def length(self, x: float) -> float:
+        return evaluate_close_tour(self.S, x - self.x)
+
+
+def _frozen_at(P: Polygon, x: float, res: SolveResult) -> _Frozen:
+    return _Frozen(x + math.remainder(res.theta.degrees - x, 180.0), res,
+                   freeze_structure(P, res), structure_signature(res))
+
+
+class _Structures:
+    """The structures frozen so far in one scan or one refinement.
+
+    An angle is evaluated on the structure frozen nearest to it whose
+    certificates hold there; where none holds, it is solved in full and
+    the structure frozen there joins the others.
+    """
+
+    def __init__(self, P: Polygon, frozen: Sequence[_Frozen] = ()):
+        self.P = P
+        self.frozen = list(frozen)
+
+    def at(self, x: float):
+        """(structure, length, refusal) at x, or None if x is unsolvable.
+
+        refusal is the nearest structure's failed certificate when x had
+        to be solved in full, else None.
+        """
+        refusal = None
+        for fz in sorted(self.frozen, key=lambda f: abs(f.x - x)):
+            try:
+                return fz, fz.length(x), None
+            except StructureInfeasibleError as exc:
+                refusal = refusal or exc
+        r = _solve_robust(self.P, x)
+        if r is None:
+            return None
+        fz = _frozen_at(self.P, x, r)
+        self.frozen.append(fz)
+        return fz, r.tour.length, refusal
+
+
+@dataclass
 class _ScanState:
     detected: List[Event] = field(default_factory=list)
     samples: List[Tuple[float, float]] = field(default_factory=list)
     intervals: List[Tuple[float, float]] = field(default_factory=list)
     candidates: List[Tuple[float, float]] = field(default_factory=list)
     flats: List[Tuple[float, float]] = field(default_factory=list)
-    # local minima left for refinement: (a, b, sample angle, sample solve)
+    # local minima left for refinement: (a, b, freeze angle, its solve)
     brackets: List[Tuple[float, float, float, SolveResult]] = field(
         default_factory=list)
     notes: List[str] = field(default_factory=list)
@@ -527,48 +922,29 @@ def _bisect_change(P: Polygon, a: float, res_a: SolveResult, b: float,
     return 0.5 * (lo + hi), _classify_split(P, res_lo, res_hi)
 
 
-def _frozen_at(P: Polygon, x: float,
-               res: SolveResult) -> Tuple[FrozenStructure, float]:
-    """Structure frozen from a solve made for sweep angle x.
-
-    Also returns the sweep angle the solve actually ran at: x plus any
-    nudge ``_solve_robust`` applied, kept on the sweep's unwrapped
-    scale so that offsets from it stay small across the 180 seam.
-    """
-    return (freeze_structure(P, res),
-            x + math.remainder(res.theta.degrees - x, 180.0))
-
-
 def _refine_minimum(P: Polygon, a: float, b: float, x0: float,
                     res0: SolveResult, tol: float,
                     notes: List[str]) -> Optional[Tuple[float, float]]:
     """Golden-section minimum over (a, b) on the structures frozen in it.
 
-    The search starts with the structure frozen at x0.  An angle is
-    evaluated on the newest frozen structure that reaches it; an angle
-    none of them reaches is solved in full, noted with the newest
-    structure's refusal, and the structure frozen there joins the
-    others.  The returned length comes from a full solve at the argmin.
+    The search starts with the structure frozen from the solve res0 at
+    x0 and evaluates each angle as ``_Structures.at`` does; an angle
+    solved in full is noted with the certificate that refused it.  The
+    returned length comes from a full solve at the argmin.
     """
     gr = (math.sqrt(5.0) - 1.0) / 2.0
     bracket = f"bracket ({a:.6f}, {b:.6f}) deg"
-    frozen = [_frozen_at(P, x0, res0)]
+    known = _Structures(P, [_frozen_at(P, x0, res0)])
 
     def f(x: float) -> float:
-        refusal = None
-        for S, base in reversed(frozen):
-            try:
-                return evaluate_close_tour(S, x - base)
-            except StructureInfeasibleError as exc:
-                if refusal is None:
-                    refusal = exc
-        notes.append(f"frozen refine on {bracket} fell back to a full "
-                     f"solve at {x:.6f}: {refusal}")
-        r = _solve_robust(P, x)
-        if r is None:
+        hit = known.at(x)
+        if hit is None:
             return math.inf
-        frozen.append(_frozen_at(P, x, r))
-        return r.tour.length
+        _, length, refusal = hit
+        if refusal is not None:
+            notes.append(f"frozen refine on {bracket} fell back to a full "
+                         f"solve at {x:.6f}: {refusal}")
+        return length
 
     x1 = b - gr * (b - a)
     x2 = a + gr * (b - a)
@@ -591,8 +967,56 @@ def _refine_minimum(P: Polygon, a: float, b: float, x0: float,
     return (x, r.tour.length)
 
 
+def _locate_change(P: Polygon, known: _Structures, a: float, fa: _Frozen,
+                   b: float, fb: _Frozen,
+                   tol: float) -> Tuple[float, EventType, Tuple[int, ...]]:
+    """``_bisect_change`` on certified structures instead of solves.
+
+    Takes the same midpoints and compares the same signatures, read off
+    the structure that holds at each midpoint.  The event's type and
+    witness come from the certificate the lower structure fails at the
+    upper end; a certificate that names no type leaves it to the
+    signatures on either side.
+    """
+    lo, hi = a, b
+    f_lo, f_hi = fa, fb
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # lo and hi are adjacent floats; tol is below their spacing
+        hit = known.at(mid)
+        if hit is None:
+            break
+        if hit[0].sig == fa.sig:
+            lo, f_lo = mid, hit[0]
+        else:
+            hi, f_hi = mid, hit[0]
+    try:
+        f_lo.length(hi)
+        exc = None
+    except StructureInfeasibleError as e:
+        exc = e
+    if exc is not None and exc.event_type is not None:
+        return 0.5 * (lo + hi), exc.event_type, exc.witness
+    return (0.5 * (lo + hi), _classify_split(P, f_lo.res, f_hi.res),
+            exc.witness if exc is not None else ())
+
+
 def _scan_interval(P: Polygon, lo: float, hi: float, cfg: SweepConfig,
-                   depth: int, state: _ScanState) -> None:
+                   depth: int, state: _ScanState,
+                   known: Optional[_Structures] = None) -> None:
+    """Sample one event-free interval on certified frozen structures.
+
+    Each sample is evaluated as ``_Structures.at`` does, on the
+    structures handed down from the scan that split this interval off;
+    the first sample with none of them holding is solved in full.  Two
+    neighbouring samples whose signatures differ, or whose lengths jump,
+    are narrowed by ``_locate_change`` to a detected event, and both
+    sides are scanned again with the same structures.  A clean interval
+    ends with an audit solve at its last sample, unless that sample was
+    solved in full already; a signature or length other than the frozen
+    one there sends the interval to ``_scan_by_solves``.
+    """
     width = hi - lo
     if width <= max(cfg.refine_tol_deg, 10 * ANGLE_MERGE_DEG) or depth > 6:
         mid = 0.5 * (lo + hi)
@@ -607,30 +1031,80 @@ def _scan_interval(P: Polygon, lo: float, hi: float, cfg: SweepConfig,
     n = int(min(cfg.samples_per_interval,
                 max(8, math.ceil(width / cfg.grid_fallback_step_deg) + 1)))
     xs = [lo + delta + i * (width - 2 * delta) / (n - 1) for i in range(n)]
-    solved = [(x, _solve_robust(P, x)) for x in xs]
-    pts = [(x, r) for x, r in solved if r is not None]
+    if known is None:
+        known = _Structures(P)
+    pts = [(x, hit[0], hit[1]) for x, hit in ((x, known.at(x)) for x in xs)
+           if hit is not None]
     if not pts:
         state.intervals.append((lo, hi))
         state.notes.append(f"interval ({lo:.6f},{hi:.6f}) unsolvable")
         return
-    sigs = [structure_signature(r) for _, r in pts]
-    lens = [r.tour.length for _, r in pts]
     jump_cap = cfg.jump_threshold * (1.0 + P.diameter)
 
-    for i in range(len(pts) - 1):
-        if sigs[i] != sigs[i + 1] or abs(lens[i + 1] - lens[i]) > jump_cap:
-            ang, etype = _bisect_change(P, pts[i][0], pts[i][1],
-                                        pts[i + 1][0], pts[i + 1][1],
-                                        cfg.refine_tol_deg)
+    for (x, f, L), (y, g, M) in zip(pts, pts[1:]):
+        if f.sig != g.sig or abs(M - L) > jump_cap:
+            ang, etype, witness = _locate_change(P, known, x, f, y, g,
+                                                 cfg.refine_tol_deg)
+            state.detected.append(Event(Angle(ang), etype, witness))
+            _scan_interval(P, lo, ang, cfg, depth + 1, state, known)
+            _scan_interval(P, ang, hi, cfg, depth + 1, state, known)
+            return
+
+    x, f, L = pts[-1]
+    if f.x != x:
+        audit = _solve_robust(P, x)
+        if (audit is None or structure_signature(audit) != f.sig
+                or abs(audit.tour.length - L) > 1e-9 * (1.0 + L)):
+            state.notes.append(
+                f"interval ({lo:.6f},{hi:.6f}): the audit solve at "
+                f"{x:.6f} deg does not match the frozen structure; changes "
+                f"located by full solves")
+            _scan_by_solves(P, lo, hi, xs, cfg, depth, state)
+            return
+    _record_clean(lo, hi, delta, [(x, L, f.x, f.res) for x, f, L in pts],
+                  state)
+
+
+def _scan_by_solves(P: Polygon, lo: float, hi: float, xs: Sequence[float],
+                    cfg: SweepConfig, depth: int, state: _ScanState) -> None:
+    """Solve every sample in full where the frozen scan cannot settle.
+
+    The first two neighbouring samples whose signatures differ, or
+    whose lengths jump, are narrowed by ``_bisect_change`` to a detected
+    event and both sides are scanned afresh.
+    """
+    pts = [(x, r) for x, r in ((x, _solve_robust(P, x)) for x in xs)
+           if r is not None]
+    jump_cap = cfg.jump_threshold * (1.0 + P.diameter)
+    for (x, r), (y, q) in zip(pts, pts[1:]):
+        if (structure_signature(r) != structure_signature(q)
+                or abs(q.tour.length - r.tour.length) > jump_cap):
+            ang, etype = _bisect_change(P, x, r, y, q, cfg.refine_tol_deg)
             state.detected.append(Event(Angle(ang), etype))
             _scan_interval(P, lo, ang, cfg, depth + 1, state)
             _scan_interval(P, ang, hi, cfg, depth + 1, state)
             return
+    delta = min(1e-4, (hi - lo) / 100.0)
+    _record_clean(lo, hi, delta, [(x, r.tour.length, x, r) for x, r in pts],
+                  state)
 
+
+def _record_clean(lo: float, hi: float, delta: float,
+                  pts: Sequence[Tuple[float, float, float, SolveResult]],
+                  state: _ScanState) -> None:
+    """Keep a clean interval's samples, and its flat or its minima.
+
+    Each sample is (angle, length, freeze angle, solve frozen there);
+    every local minimum becomes a bracket between its neighbours.
+    """
     state.intervals.append((lo, hi))
-    state.samples.extend((normalize_deg(x), r.tour.length) for x, r in pts)
+    if not pts:
+        state.notes.append(f"interval ({lo:.6f},{hi:.6f}) unsolvable")
+        return
+    state.samples.extend((normalize_deg(x), L) for x, L, _, _ in pts)
+    lens = [L for _, L, _, _ in pts]
     if all(L <= 1e-12 for L in lens):
-        state.flats.append((width, normalize_deg(0.5 * (lo + hi))))
+        state.flats.append((hi - lo, normalize_deg(0.5 * (lo + hi))))
         state.candidates.append((0.5 * (lo + hi), 0.0))
         return
 
@@ -644,7 +1118,7 @@ def _scan_interval(P: Polygon, lo: float, hi: float, cfg: SweepConfig,
     for _, i in minima[:16]:
         a = pts[i - 1][0] if i > 0 else lo + delta
         b = pts[i + 1][0] if i + 1 < len(pts) else hi - delta
-        state.brackets.append((a, b) + pts[i])
+        state.brackets.append((a, b) + pts[i][2:])
 
 
 def _check_config(cfg: SweepConfig) -> None:
@@ -716,7 +1190,7 @@ def _merge_detected(base: Sequence[Event],
     dropped.  Enumerated events keep their multiplicity untouched.
     """
     merged = list(base)
-    window = 0.5 * 1e-3
+    window = 0.5 * EVENT_WINDOW_DEG
     for ev in sorted(detected, key=Event.sort_key):
         a = ev.angle.degrees
         close = False

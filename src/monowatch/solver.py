@@ -65,6 +65,13 @@ class MaximalMovingSubpath:
 
 @dataclass
 class SolveResult:
+    """A solve's tour and how it was found.
+
+    ``rivals`` holds the tour folded from each candidate start vertex,
+    in the order tried, each starting at its candidate; ``tour`` is one
+    of them, or the point tour when there are none.
+    """
+
     tour: Tour
     cuts: Tuple[ThetaCut, ...]
     gates: Tuple[Gate, ...]
@@ -74,6 +81,7 @@ class SolveResult:
     diagnostics: Tuple[str, ...]
     common_point: Optional[Point] = None
     reduced: Optional[ReducedPolygon] = None
+    rivals: Tuple[Tour, ...] = ()
 
 
 def _canonical_gate_order(gates: Sequence[Gate]) -> List[Gate]:
@@ -211,8 +219,30 @@ def _candidate_indices(rp: ReducedPolygon, tri: Triangulation,
     return _dedupe(out)
 
 
-def _cycle_key(tour: Tour) -> tuple:
-    return tuple((round(p[0], 9), round(p[1], 9)) for p in tour.cycle)
+def _key_less(a: Sequence[Point], b: Sequence[Point]) -> bool:
+    """Whether cycle a sorts before cycle b by their coordinates rounded to
+    nine decimals, compared point by point."""
+    for p, q in zip(a, b):
+        kp = (round(p[0], 9), round(p[1], 9))
+        kq = (round(q[0], 9), round(q[1], 9))
+        if kp != kq:
+            return kp < kq
+    return len(a) < len(b)
+
+
+def beats(length: float, cycle: Sequence[Point], best_length: float,
+          best_cycle: Sequence[Point]) -> bool:
+    """Whether a candidate tour replaces the best one so far.
+
+    It must be shorter by more than a tie of 1e-9 * (1 + length), or
+    within the tie with the smaller canonical key, so that exact ties
+    (symmetric polygons) go to a stable function of theta rather than
+    to float noise.
+    """
+    tie = 1e-9 * (1.0 + min(length, best_length))
+    if length < best_length - tie:
+        return True
+    return length < best_length + tie and _key_less(cycle, best_cycle)
 
 
 def _dedupe(seq: Sequence[int]) -> List[int]:
@@ -280,25 +310,19 @@ def solve_theta(P: Polygon, theta) -> SolveResult:
 
     best: Optional[Tour] = None
     tried: List[Point] = []
+    rivals: List[Tour] = []
     for vi in cand:
         tour = fold_back(*_sleeve_path(rp, tri, vi, sleeve_cache))
         tried.append(rp.polygon.vertices[vi])
-        if best is None:
-            best = tour
-            continue
-        # break exact ties (symmetric polygons) by a canonical key so
-        # the winner is a stable function of theta, not of float noise
-        tie = 1e-9 * (1.0 + min(tour.length, best.length))
-        if tour.length < best.length - tie:
-            best = tour
-        elif (tour.length < best.length + tie
-                and _cycle_key(tour) < _cycle_key(best)):
+        rivals.append(tour)
+        if best is None or beats(tour.length, tour.cycle, best.length,
+                                 best.cycle):
             best = tour
     if best is None:
         raise GeometryError("no candidate produced a tour")
     subs = tuple(decompose_subpaths(best))
     return SolveResult(best, cuts, gates, tuple(tried), subs, theta,
-                       tuple(diag), reduced=rp)
+                       tuple(diag), reduced=rp, rivals=tuple(rivals))
 
 
 def decompose_subpaths(tour: Tour) -> List[MaximalMovingSubpath]:

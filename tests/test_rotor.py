@@ -327,16 +327,19 @@ def test_chord_along_its_edge_is_a_validity_event():
 
 
 def test_frozen_refine_falls_back_past_an_event():
-    # the bracket straddles the Validity events at 12.87882 degrees:
-    # the structure frozen at 12.6 is refused past them, that angle is
-    # solved in full and the search goes on from its structure
+    # the bracket straddles the hidden Bending at 12.7159 degrees, where
+    # the tour lets go of reflex vertex 14, and the Validity events at
+    # 12.87882 degrees: the structure frozen at 12.6 is refused past the
+    # first, that angle is solved in full, and its structure is refused
+    # past the second, which is solved in full too
     P = spiral_corridor(1)
     notes = []
     x, length = rotor._refine_minimum(P, 12.5, 13.3, 12.6,
                                       solve_theta(P, Angle(12.6)), 1e-6, notes)
-    assert len(notes) == 1
-    assert "bracket (12.500000, 13.300000) deg" in notes[0]
-    assert "color" in notes[0]
+    assert len(notes) == 2
+    assert all("bracket (12.500000, 13.300000) deg" in n for n in notes)
+    assert "press certificate of vertex 14" in notes[0]
+    assert "color" in notes[1]
     assert length == solve_theta(P, Angle(x)).tour.length
 
 
@@ -451,9 +454,9 @@ def test_optimize_positive_optimum(spiral_sweeps):
 def test_sweep_solve_counts(spiral_sweeps, toothgap, monkeypatch):
     solves = _counting(monkeypatch, "solve_theta")
     assert optimize(toothgap).best_length == 0.0
-    assert solves[0] <= 1500
+    assert solves[0] <= 200
     _, _, spiral_solves, spiral_evals = spiral_sweeps[1]
-    assert spiral_solves <= 2500
+    assert spiral_solves <= 400
     assert spiral_evals > 0
 
 
@@ -461,9 +464,42 @@ def test_flat_interval_skips_refinement(double, monkeypatch):
     def refuse(*args):
         raise AssertionError("refined although a flat interval exists")
 
-    monkeypatch.setattr(rotor, "freeze_structure", refuse)
+    monkeypatch.setattr(rotor, "_refine_minimum", refuse)
     ang, val = minimize_interval(double, 0.001, 75.9637)
     assert val == 0.0
+
+
+def test_refine_falls_back_at_a_hidden_bending():
+    P = spiral_corridor(1)
+    bendings = [e.angle_deg for e in optimize(P).events
+                if e.type is EventType.BENDING]
+    assert any(102.8 < a < 102.95 for a in bendings)
+    assert any(12.6 < a < 12.8 for a in bendings)
+    # frozen at 102.9, the moving vertex on the chord of reflex vertex 13
+    # reaches that vertex at the Bending near 102.8788; the refine solves
+    # there and keeps the argmin and length the full-solve scan found
+    notes = []
+    x, length = rotor._refine_minimum(P, 102.8, 102.95, 102.9,
+                                      solve_theta(P, Angle(102.9)), 1e-6,
+                                      notes)
+    assert len(notes) == 1
+    assert "bracket (102.800000, 102.950000) deg" in notes[0]
+    assert "inside certificate of vertex 13" in notes[0]
+    assert x == pytest.approx(102.80000044706458, abs=1e-6)
+    assert length == pytest.approx(51.8259747303359, rel=1e-9)
+    # frozen at 12.65, the tour lets go of reflex vertex 14 at the Bending
+    # near 12.7159 and gets shorter past it; extrapolating the frozen
+    # structure read a constant 55.856937 there instead
+    notes = []
+    x, length = rotor._refine_minimum(P, 12.6, 12.8, 12.65,
+                                      solve_theta(P, Angle(12.65)), 1e-6,
+                                      notes)
+    assert len(notes) == 1
+    assert "press certificate of vertex 14" in notes[0]
+    grid = min(solve_theta(P, Angle(12.6 + 0.2 * k / 40)).tour.length
+               for k in range(1, 41))
+    assert length <= grid + 1e-9
+    assert length < 55.8569369961 - 1e-5
 
 
 def test_optimize_best_matches_fresh_solve(unotch, double, spiral):
@@ -519,3 +555,9 @@ def test_scan_matches_reference_events(scan_pairs):
 def test_scan_matches_reference_best_length(scan_pairs):
     for label, (P, (_, ref_best), (_, best)) in scan_pairs.items():
         assert best == pytest.approx(ref_best, rel=1e-9, abs=1e-12), label
+
+
+def test_scan_events_name_witnesses_and_audits_hold(scan_pairs):
+    for label, (_, _, (new, _)) in scan_pairs.items():
+        assert all(e.witnesses for e in new.detected), label
+        assert not [n for n in new.notes if "audit" in n], label
