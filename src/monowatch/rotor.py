@@ -3,17 +3,26 @@
 Candidate event angles (validity and vertex-pair alignments) cut
 [0, 180) into intervals.  Inside each interval the tour structure is
 expected to persist; samples are screened for hidden structure changes
-and length jumps, which are bisected down to events of their own.
+(Cuddle and Bending events) and length jumps, which are bisected down
+to events of their own.
+
+The scan treats a full solve as a kinetic data structure: the solve is
+frozen, with its tour and every candidate tour it compared, and later
+samples are closed-form evaluations on it.  Each evaluation checks
+certificates that fail where the solve's tags would change (see
+``evaluate_close_tour``); an angle where no frozen structure holds is
+solved in full and frozen in turn.  So an event-free interval costs one
+full solve, plus one audit solve at its last sample that must match the
+frozen signature and length; a mismatch sends the interval to full
+solves of every sample, noted in the report.
 
 The scan records each local minimum of a clean interval as a bracket
-together with the solve it already holds there.  Once every interval
-is scanned, a flat zero-length interval, if any exists, wins outright:
-flat intervals compete by width with the midpoint as representative and
-no bracket is refined.  Otherwise each bracket gets a golden-section
-search on the structure frozen at its sample, which costs a closed form
-per angle instead of a solve; an angle the frozen structure cannot
-reach is solved in full and the structure re-frozen there.  The
-argmin of each bracket is confirmed by a full solve.
+together with the solve its sample was evaluated on.  Once every
+interval is scanned, a flat zero-length interval, if any exists, wins
+outright: flat intervals compete by width with the midpoint as
+representative and no bracket is refined.  Otherwise each bracket gets
+a golden-section search on the same certified structures, solving in
+full where none holds, and its argmin is confirmed by a full solve.
 """
 
 from __future__ import annotations
