@@ -258,8 +258,9 @@ class FrozenStructure:
     chord's intersection with its frozen polygon edge; interior moving
     anchors re-solve as perfect reflections on the rotated chord lines.
     ``colors`` holds every reflex vertex with the offsets to its two
-    neighbours and its color at the freeze angle, and ``walls`` every polygon edge with a reflex end, as
-    (index or None, x, y) for each end, None unless the end is reflex.
+    neighbours and its color at the freeze angle, and ``walls`` every
+    polygon edge with a reflex end, as (index, x, y) for each end, the
+    index None unless that end is reflex.
 
     Every candidate tour of the freezing solve is kept: ``rivals`` holds
     one frozen tour per distinct tour, up to rotation, and ``order``
@@ -286,6 +287,7 @@ class FrozenStructure:
 
 
 def _reflex_colors(P: Polygon, u: Point):
+    """Each reflex vertex, the offsets to its neighbours and its color."""
     out = []
     for vi in P.reflex_indices:
         v = P.vertices[vi]
@@ -306,12 +308,12 @@ def _gate_anchor(kind: str, p: Point, gate: Gate, P: Polygon, u: Point,
 
 def _wedge(P: Polygon, wi: int) -> Tuple[float, float]:
     w = P.vertices[wi]
-    out = [0.0, 0.0]
-    for q in (P.vertices[wi - 1], P.vertices[(wi + 1) % P.n]):
-        d = math.dist(q, w)
-        out[0] += (q.x - w.x) / d
-        out[1] += (q.y - w.y) / d
-    return (out[0], out[1])
+    a = P.vertices[wi - 1]
+    b = P.vertices[(wi + 1) % P.n]
+    da = math.dist(a, w)
+    db = math.dist(b, w)
+    return ((a.x - w.x) / da + (b.x - w.x) / db,
+            (a.y - w.y) / da + (b.y - w.y) / db)
 
 
 def _tour_anchors(P: Polygon, tour: Tour, gates: Sequence[Gate],
@@ -324,19 +326,16 @@ def _tour_anchors(P: Polygon, tour: Tour, gates: Sequence[Gate],
     reflex = P.reflex_indices
     anchors: List[FrozenAnchor] = []
     for p, t in zip(tour.cycle, tour.tags):
-        if t.kind == "moving" and t.gate is None:
-            raise GeometryError("moving tour vertex without a gate")
-        if t.kind == "moving" and _touched_end(p, t.gate.cut) != "vertex":
+        if t.kind == "moving":
             g = t.gate
+            if g is None:
+                raise GeometryError("moving tour vertex without a gate")
             kind = ("touch_far" if _touched_end(p, g.cut) == "far"
                     else "interior")
             anchors.append(_gate_anchor(kind, p, g, P, u,
                                         g.cut.vertex_index))
             continue
-        if t.kind == "moving":
-            p, vi = t.gate.cut.vertex, t.gate.cut.vertex_index
-        else:
-            vi = t.vertex_index
+        vi = t.vertex_index
         own = [g for g in gates if g.cut.vertex_index == vi]
         a = (_gate_anchor("stable", p, own[0], P, u, vi) if len(own) == 1
              else FrozenAnchor("stable", p, index=vi))
@@ -404,9 +403,10 @@ def freeze_structure(P: Polygon, res: SolveResult) -> FrozenStructure:
         held: FrozenSet[Tuple[int, str]] = frozenset()
         if any(a.kind != "interior" for a in anchors):
             _, _, _, checks = _tour_state(anchors, u.x, u.y, None)
-            held = frozenset(
-                (k, name) for k, name, _, violated, _ in checks
-                if not violated and pinned_at != {k})
+            broken = {(k, name) for k, name, _, violated, _ in checks
+                      if violated}
+            held = frozenset((k, name) for k, name, _, _, _ in checks
+                             if pinned_at != {k}) - broken
         watched.append(held)
     return FrozenStructure(P, res.theta.degrees, tour.length, "tour",
                            rivals[0], colors, walls, None, tuple(rivals),
@@ -548,8 +548,9 @@ def evaluate_close_tour(S: FrozenStructure, eps_deg: float) -> float:
         return _all_interior_length(S, Point(ux, uy))
 
     states = []
-    for i, anchors in enumerate(S.rivals):
-        al, no, length, failed = _tour_state(anchors, ux, uy, S.watched[i])
+    watched = S.watched or (frozenset(),)
+    for i, anchors in enumerate(S.rivals or (S.anchors,)):
+        al, no, length, failed = _tour_state(anchors, ux, uy, watched[i])
         if failed:
             k, name, etype, _, what = failed[0]
             if i == 0:
