@@ -21,6 +21,13 @@ from .geom import (
     Segment,
     normalize_deg,
 )
+from .kinetic import (
+    EventType,
+    FrozenStructure,
+    StructureInfeasibleError,
+    evaluate_close_tour,
+    freeze_structure,
+)
 from .oracle import (
     ReferenceResult,
     ValidationReport,
@@ -30,14 +37,9 @@ from .oracle import (
 )
 from .rotor import (
     Event,
-    EventType,
-    FrozenStructure,
-    StructureInfeasibleError,
     SweepConfig,
     SweepReport,
     enumerate_candidate_events,
-    evaluate_close_tour,
-    freeze_structure,
     minimize_interval,
     optimize,
     structure_signature,

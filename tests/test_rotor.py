@@ -7,17 +7,19 @@ import pytest
 from monowatch import Angle, EventAngleError, GeometryError, rotor, solve_theta
 from monowatch.geom import Point, Segment, normalize_deg
 from monowatch.oracle import dense_sweep, validate_tour
-from monowatch.rotor import (
-    ANGLE_MERGE_DEG,
-    Event,
+from monowatch.kinetic import (
     EventType,
     FrozenAnchor,
     FrozenStructure,
     StructureInfeasibleError,
-    SweepConfig,
-    enumerate_candidate_events,
     evaluate_close_tour,
     freeze_structure,
+)
+from monowatch.rotor import (
+    ANGLE_MERGE_DEG,
+    Event,
+    SweepConfig,
+    enumerate_candidate_events,
     minimize_interval,
     optimize,
     structure_signature,
@@ -561,3 +563,26 @@ def test_scan_events_name_witnesses_and_audits_hold(scan_pairs):
     for label, (_, _, (new, _)) in scan_pairs.items():
         assert all(e.witnesses for e in new.detected), label
         assert not [n for n in new.notes if "audit" in n], label
+
+
+def test_audit_mismatch_falls_back_to_full_solves(double, monkeypatch):
+    # every frozen length reads a little long: each clean interval's
+    # audit solve disagrees, and the interval is scanned by full solves
+    cfg = SweepConfig()
+    ref, _ = _reference_sweep(double, cfg)
+    evaluate = rotor.evaluate_close_tour
+    monkeypatch.setattr(rotor, "evaluate_close_tour",
+                        lambda S, eps: evaluate(S, eps) * (1 + 1e-6) + 1e-6)
+    spans = rotor._interval_list(double, enumerate_candidate_events(double))
+    state, _, best = rotor._sweep(double, spans, cfg)
+    audits = [n for n in state.notes if "audit" in n]
+    assert audits and all("gives length" in n for n in audits)
+    assert sorted(state.intervals) == sorted(ref.intervals)
+    got = sorted(state.samples)
+    want = sorted(ref.samples)
+    assert [x for x, _ in got] == [x for x, _ in want]
+    for (_, a), (_, b) in zip(got, want):
+        assert a == pytest.approx(b, rel=1e-9, abs=1e-12)
+    assert ([e.type for e in sorted(state.detected, key=Event.sort_key)]
+            == [e.type for e in sorted(ref.detected, key=Event.sort_key)])
+    assert best == 0.0
