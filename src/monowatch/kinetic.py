@@ -257,6 +257,8 @@ def freeze_structure(P: Polygon, res: SolveResult) -> FrozenStructure:
 
 
 def _freeze_point(P: Polygon, res: SolveResult, colors, walls):
+    """A point tour: one anchor per gate, with the side of the point on
+    each gate chord's line, and the gate the point lies on."""
     tour = res.tour
     u = res.theta.direction()
     p = tour.cycle[0]
