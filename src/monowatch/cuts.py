@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import List, Optional
+from dataclasses import dataclass, field
+from typing import List, Optional, Tuple
 
 from .geom import (
     TAU_ONEDGE,
@@ -23,8 +23,9 @@ from .geom import (
     Point,
     Polygon,
     Segment,
-    chord_through_vertex,
+    chords_at,
     ring_contains,
+    settle_chord,
     split_ring,
 )
 
@@ -57,7 +58,10 @@ class ThetaCut:
     forward cut and from the far endpoint to the vertex for a backward
     cut, so the segment direction always matches the cut direction.
     ``far_edge`` is the index of the polygon edge containing the far
-    endpoint.
+    endpoint.  ``near`` lists, in index order with their points, the
+    reflex vertices within 2 * TAG_TOL of the chord's line, the issuing
+    vertex among them: every reflex vertex that can lie within TAG_TOL
+    of a point of the chord.
     """
 
     vertex: Point
@@ -67,6 +71,8 @@ class ThetaCut:
     kind: CutKind
     theta: Angle
     far_edge: int
+    near: Tuple[Tuple[int, Point], ...] = field(default=(), repr=False,
+                                                 compare=False)
 
     @property
     def far_point(self) -> Point:
@@ -85,6 +91,11 @@ class ThetaCut:
 def _classify_direction(P: Polygon, vi: int, ux: float, uy: float) -> VertexClass:
     if not P.is_reflex(vi):
         return VertexClass.CONVEX
+    return _reflex_class(P, vi, ux, uy)
+
+
+def _reflex_class(P: Polygon, vi: int, ux: float, uy: float) -> VertexClass:
+    """Class of reflex vertex vi against the line of direction (ux, uy)."""
     v = P.vertices[vi]
     prev = P.vertices[(vi - 1) % P.n]
     nxt = P.vertices[(vi + 1) % P.n]
@@ -136,22 +147,34 @@ def compute_cuts(P: Polygon, theta: Angle,
                  diagnostics: Optional[list] = None) -> List[ThetaCut]:
     """All cuts of P at angle theta, ordered by issuing vertex index.
 
-    Raises EventAngleError when any reflex vertex classifies as
-    Boundary, or when its chord ends at the vertex or a neighbour: theta
-    is then a validity event and the cut structure is not well defined.
+    The chords of all colored reflex vertices are found together by
+    ``chords_at``; a chord whose line meets a second vertex is nudged on
+    its own, as ``chord_through_vertex`` does.  Raises EventAngleError
+    when any reflex vertex classifies as Boundary, or when its chord ends
+    at the vertex or a neighbour: theta is then a validity event and the
+    cut structure is not well defined.  Errors are raised for the first
+    vertex in index order that has one.
     """
     r = theta.radians
     ux = math.cos(r)
     uy = math.sin(r)
-    out: List[ThetaCut] = []
+    colored: List[Tuple[int, CutColor]] = []
+    boundary = None
     for vi in P.reflex_indices:
-        cls = _classify_direction(P, vi, ux, uy)
+        cls = _reflex_class(P, vi, ux, uy)
         if cls is VertexClass.BOUNDARY:
-            raise _validity_event(P, theta, vi)
-        if cls not in (VertexClass.RED, VertexClass.BLUE):
-            continue
-        color = CutColor.RED if cls is VertexClass.RED else CutColor.BLUE
-        hit = chord_through_vertex(P, vi, theta, diagnostics)
+            boundary = vi
+            break
+        if cls is VertexClass.RED:
+            colored.append((vi, CutColor.RED))
+        elif cls is VertexClass.BLUE:
+            colored.append((vi, CutColor.BLUE))
+    base = theta.degrees
+    hits, near_reflex = (chords_at(P, [vi for vi, _ in colored], base)
+                         if colored else ([], []))
+    out: List[ThetaCut] = []
+    for (vi, color), hit, close in zip(colored, hits, near_reflex):
+        hit = settle_chord(P, vi, base, hit, diagnostics)
         # an edge just off parallel (TAU_ORIENT is absolute) can leave a
         # chord end at the vertex itself or at a neighbour, where the
         # left region degenerates: that is the same validity event
@@ -171,9 +194,11 @@ def compute_cuts(P: Polygon, theta: Angle,
             e_f, ef_edge = hit.hi, hit.edge_hi
             e_b, eb_edge = hit.lo, hit.edge_lo
         out.append(ThetaCut(v, vi, Segment(v, e_f), color,
-                            CutKind.FORWARD, theta, ef_edge))
+                            CutKind.FORWARD, theta, ef_edge, close))
         out.append(ThetaCut(v, vi, Segment(e_b, v), color,
-                            CutKind.BACKWARD, theta, eb_edge))
+                            CutKind.BACKWARD, theta, eb_edge, close))
+    if boundary is not None:
+        raise _validity_event(P, theta, boundary)
     return out
 
 

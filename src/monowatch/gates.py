@@ -13,7 +13,7 @@ by positions along the boundary, without building the regions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .geom import (
     TAU_ONEDGE,
@@ -23,11 +23,10 @@ from .geom import (
     Point,
     Polygon,
     Segment,
-    point_segment_distance,
     ring_area,
     split_ring,
 )
-from .cuts import CutKind, ThetaCut
+from .cuts import CutColor, CutKind, ThetaCut
 
 # relative slack for the area bookkeeping check in reduce_polygon
 AREA_CHECK_REL = 1e-6
@@ -100,27 +99,61 @@ def dominates(P: Polygon, c1: ThetaCut, c2: ThetaCut) -> bool:
 
 def _refuse_collinear_same_color(cuts: Sequence[ThetaCut]) -> None:
     """Raise on the first pair of same-colored cuts from different
-    vertices whose chords lie on one line (a domination event)."""
-    for i, c1 in enumerate(cuts):
-        d = None
-        for c2 in cuts[i + 1:]:
-            if c1.color is not c2.color or c1.vertex_index == c2.vertex_index:
-                continue
-            if d is None:
-                # c1's unit direction and anchor, once for all its pairs
-                d = c1.chord.direction()
-                dx, dy = d
+    vertices whose chords lie on one line (a domination event).
+
+    A pair is c1 = cuts[i], c2 = cuts[j] with i < j, and it shares a
+    line when both ends of c2 lie within TAU_ONEDGE of the line through
+    c1's chord, along c1's own unit direction; the first such pair in
+    (i, j) order is raised.  All cuts at one angle are parallel, so only
+    cuts of one color whose chords have nearly the same offset along the
+    normal of theta are tested: the cuts of each color are sorted by
+    that offset and each is paired with those within ``reach`` of it.
+    ``reach`` adds to TAU_ONEDGE the most by which the offset of c2's
+    end from c1's line along c1's direction can differ from the
+    difference of offsets along theta's normal: the tilt of c1's
+    direction from theta by rounding (under 8 units in the last place of
+    the largest coordinate over the shortest chord's length, plus 2
+    units), times the distance of c2's end from c1's anchor, and the
+    rounding of both offsets.
+    """
+    first = None
+    for color in (CutColor.RED, CutColor.BLUE):
+        group = [i for i, c in enumerate(cuts) if c.color is color]
+        if len({cuts[i].vertex_index for i in group}) < 2:
+            continue
+        chords = [cuts[i].chord for i in group]
+        ux, uy = cuts[group[0]].theta.direction()
+        ulp = 2.0 ** -52
+        big = max(max(abs(q[0]), abs(q[1])) for ch in chords for q in ch)
+        shortest = max(min(ch.length() for ch in chords), TAU_ONEDGE)
+        tilt = 8.0 * ulp * big / shortest + 2.0 * ulp
+        reach = TAU_ONEDGE + tilt * 3.0 * big + 16.0 * ulp * big
+        offset = {i: ux * ch.a.y - uy * ch.a.x for i, ch in zip(group, chords)}
+        group.sort(key=offset.__getitem__)
+        for pos, i in enumerate(group):
+            for j in group[pos + 1:]:
+                if offset[j] - offset[i] > reach:
+                    break
+                pair = (i, j) if i < j else (j, i)
+                if first is not None and pair >= first:
+                    continue
+                c1, c2 = cuts[pair[0]], cuts[pair[1]]
+                if c1.vertex_index == c2.vertex_index:
+                    continue
+                dx, dy = c1.chord.direction()
                 ax, ay = c1.chord.a
-            (px, py), (qx, qy) = c2.chord
-            if (abs(dx * (py - ay) - dy * (px - ax)) > TAU_ONEDGE
-                    or abs(dx * (qy - ay) - dy * (qx - ax)) > TAU_ONEDGE):
-                continue
-            raise EventAngleError(
-                f"theta={c1.theta.degrees:.9f} is a domination event: "
-                f"cuts from vertices {c1.vertex_index} and "
-                f"{c2.vertex_index} share a chord line",
-                angle=c1.theta.degrees, kind="Domination",
-                witness=(c1.vertex_index, c2.vertex_index))
+                (px, py), (qx, qy) = c2.chord
+                if max(abs(dx * (py - ay) - dy * (px - ax)),
+                       abs(dx * (qy - ay) - dy * (qx - ax))) <= TAU_ONEDGE:
+                    first = pair
+    if first is not None:
+        c1, c2 = cuts[first[0]], cuts[first[1]]
+        raise EventAngleError(
+            f"theta={c1.theta.degrees:.9f} is a domination event: "
+            f"cuts from vertices {c1.vertex_index} and "
+            f"{c2.vertex_index} share a chord line",
+            angle=c1.theta.degrees, kind="Domination",
+            witness=(c1.vertex_index, c2.vertex_index))
 
 
 def compute_gates(P: Polygon, cuts: Sequence[ThetaCut]) -> List[Gate]:
@@ -142,7 +175,9 @@ class ReducedPolygon:
 
     ``essential`` lists, per gate, the boundary edge index of ``polygon``
     that coincides with the gate chord.  ``source`` keeps the original
-    polygon so later stages can recover its reflex vertices.
+    polygon.  ``origins`` says what each vertex of ``polygon`` is: the
+    index of the source vertex it is, or the gate whose chord's far end
+    it is.
     """
 
     polygon: Polygon
@@ -150,6 +185,7 @@ class ReducedPolygon:
     theta: Angle
     source: Polygon
     removed_area: float = 0.0
+    origins: Tuple[Union[int, Gate], ...] = ()
 
 
 def _removal_side(arc: Tuple[float, float],
@@ -174,7 +210,7 @@ def reduce_polygon(P: Polygon, gates: Sequence[Gate],
     if theta is None:
         theta = gates[0].cut.theta if gates else Angle(0.0)
     if not gates:
-        return ReducedPolygon(P, (), theta, P)
+        return ReducedPolygon(P, (), theta, P, 0.0, tuple(range(P.n)))
 
     arcs = [boundary_arc(P, g.cut) for g in gates]
     removed_total = 0.0
@@ -195,20 +231,32 @@ def reduce_polygon(P: Polygon, gates: Sequence[Gate],
             "removed gate regions overlap; area bookkeeping failed "
             f"({P.area:.9f} != {reduced.area:.9f} + {removed_total:.9f})")
 
+    # split_ring copies every ring point and chord end exactly, so each
+    # reduced vertex is found by value; a chord end it merged into a
+    # vertex within TAU_ONEDGE is that vertex
+    index = {p: i for i, p in enumerate(reduced.vertices)}
+    m = reduced.n
     essential = []
     for g in gates:
-        found = None
-        for ei in range(reduced.n):
-            e = reduced.edge(ei)
-            if ((point_segment_distance(g.chord.a, e) <= TAU_ONEDGE and
-                 point_segment_distance(g.chord.b, e) <= TAU_ONEDGE and
-                 abs(e.length() - g.chord.length()) <= 10 * TAU_ONEDGE)):
-                found = ei
-                break
-        if found is None:
+        i, j = (index[q] if q in index else reduced.find_vertex(q)
+                for q in g.chord)
+        if i is not None and j == (i + 1) % m:
+            essential.append((i, g))
+        elif j is not None and i == (j + 1) % m:
+            essential.append((j, g))
+        else:
             raise GeometryError(
                 f"gate chord {g.describe()} is not an edge of the reduced "
                 "polygon")
-        essential.append((found, g))
     essential.sort(key=lambda pair: pair[0])
-    return ReducedPolygon(reduced, tuple(essential), theta, P, removed_total)
+    where: Dict[Point, Union[int, Gate]] = {}
+    for g in gates:
+        where.setdefault(g.cut.far_point, g)
+    where.update((p, i) for i, p in enumerate(P.vertices))
+    try:
+        origins = tuple(where[p] for p in reduced.vertices)
+    except KeyError as exc:
+        raise GeometryError(f"reduced vertex {tuple(exc.args[0])} is neither "
+                            "a polygon vertex nor a gate chord end") from None
+    return ReducedPolygon(reduced, tuple(essential), theta, P, removed_total,
+                          origins)

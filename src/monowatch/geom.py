@@ -8,12 +8,16 @@ are expected at desk scale (coordinates of magnitude ~1e3 or less).
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 TAU_ORIENT = 1e-9
 TAU_ONEDGE = 1e-7
+# how near a tour vertex on a gate chord must sit to a reflex vertex to
+# be pinned there
+TAG_TOL = 1e-6
 
 # Degenerate chord queries (the chord line meets a second polygon vertex)
 # are retried after perturbing the query angle by this many degrees.
@@ -382,7 +386,8 @@ class Polygon:
     which may legitimately contain collinear chains.
     """
 
-    __slots__ = ("vertices", "_area", "_reflex", "_bbox", "_diameter")
+    __slots__ = ("vertices", "_area", "_reflex", "_bbox", "_diameter",
+                 "_frame")
 
     def __init__(self, vertices: Sequence, validate: bool = True):
         pts = [Point(float(p[0]), float(p[1])) for p in vertices]
@@ -396,6 +401,7 @@ class Polygon:
         self._reflex: Optional[tuple] = None
         self._bbox: Optional[tuple] = None
         self._diameter: Optional[float] = None
+        self._frame: Optional[tuple] = None
         if validate:
             self._validate()
 
@@ -494,6 +500,40 @@ class Polygon:
             self._reflex = tuple(out)
         return self._reflex
 
+    @property
+    def chord_frame(self) -> tuple:
+        """What ``chords_at`` reads of the polygon besides its vertices,
+        built once: per vertex, the direction of its outgoing edge and
+        the angle of its interior wedge, counterclockwise from that edge
+        to the incoming one; the sweep's window; the two edges at each
+        vertex; and whether each vertex is reflex.
+
+        The window bounds how far the difference of two vertices' normal
+        coordinates can lie from zero while the offset of one from the
+        line through the other still passes the vertex-hit test: 1e-9 of
+        the diameter, which no distance between two vertices exceeds,
+        plus 1e-14 of the largest coordinate, over twice what the two
+        computations can differ by in rounding (under 16 units in the
+        last place of that coordinate).
+        """
+        if self._frame is None:
+            v = self.vertices
+            n = len(v)
+            two_pi = 2.0 * math.pi
+            a_next = [math.atan2(v[(i + 1) % n].y - v[i].y,
+                                 v[(i + 1) % n].x - v[i].x) for i in range(n)]
+            a_prev = [math.atan2(v[i - 1].y - v[i].y, v[i - 1].x - v[i].x)
+                      for i in range(n)]
+            span = [(b - a) % two_pi for a, b in zip(a_next, a_prev)]
+            big = max(max(abs(p.x), abs(p.y)) for p in v)
+            window = 1e-9 * self.diameter * (1.0 + 1e-6) + 1e-14 * big
+            incident = [frozenset(((i - 1) % n, i)) for i in range(n)]
+            reflex = [False] * n
+            for i in self.reflex_indices:
+                reflex[i] = True
+            self._frame = (a_next, span, window, incident, reflex)
+        return self._frame
+
     def is_reflex(self, i: int) -> bool:
         return i % len(self.vertices) in self.reflex_indices
 
@@ -518,6 +558,141 @@ class ChordHit(NamedTuple):
     edge_hi: int
 
 
+def chords_at(P: Polygon, rows: Sequence[int], degrees: float) -> tuple:
+    """Maximal chords of P through the vertices ``rows``, all in direction
+    ``degrees``, found in one sweep of the polygon's vertices.
+
+    Returns (hits, near).  Each entry of ``hits`` is the vertex's
+    ChordHit, None when the line through it meets a second vertex (the
+    caller nudges the angle and asks again), or the GeometryError to
+    raise for it.  Each entry of ``near`` lists, in index order with
+    their points, the reflex vertices within 2 * TAG_TOL of the line
+    through the vertex: every reflex vertex that can lie within TAG_TOL
+    of a point of its chord.
+
+    The vertices are swept in order of their offset along the line's
+    normal.  When the sweep reaches a row's vertex v, the edges with one
+    end swept and one not are those whose ends lie on either side of the
+    line through v, up to the rounding of that order; the vertices whose
+    offset is within ``P.chord_frame``'s window of v's (or within
+    2 * TAG_TOL, if that is wider) are measured exactly instead, and
+    their edges join the candidates.  Every offset, crossing and
+    distance along the line is then computed with v's own arithmetic,
+    exactly as if every edge were tested against the line: the window
+    is wide enough that no vertex outside it can pass the vertex-hit
+    test or have its side misjudged.
+    """
+    r = math.radians(degrees)
+    ux = math.cos(r)
+    uy = math.sin(r)
+    verts = P.vertices
+    n = len(verts)
+    a_next, span, window, incident, reflex = P.chord_frame
+    ang_u = math.atan2(uy, ux)
+    two_pi = 2.0 * math.pi
+    sig = [ux * y - uy * x for x, y in verts]
+    order = sorted(range(n), key=sig.__getitem__)
+    ranked = [sig[j] for j in order]
+    want = {vi: row for row, vi in enumerate(rows)}
+    hits: list = [None] * len(rows)
+    near: list = [()] * len(rows)
+    active: set = set()
+    left = len(want)
+    reach = max(window, 2.0 * TAG_TOL)
+
+    def chord(vi: int, row: int):
+        v = verts[vi]
+        vx, vy = v
+        s = sig[vi]
+        lo = bisect.bisect_left(ranked, s - reach)
+        hi = bisect.bisect_right(ranked, s + reach)
+        near[row] = tuple((w, verts[w]) for w in sorted(order[lo:hi])
+                          if reflex[w] and abs(sig[w] - s) <= 2.0 * TAG_TOL)
+        cand = set(active)
+        for w in order[lo:hi]:
+            if w == vi:
+                continue
+            wx, wy = verts[w]
+            # relative test: one CHORD_NUDGE_DEG step swings the line by
+            # ~1.7e-9 rad, enough to clear this margin at any distance
+            if (abs(ux * (wy - vy) - uy * (wx - vx))
+                    <= 1e-9 * math.hypot(wx - vx, wy - vy)):
+                return None
+            cand.add(w - 1 if w else n - 1)
+            cand.add(w)
+        # incident edges meet the line only at v itself
+        cand.discard(vi)
+        cand.discard(vi - 1 if vi else n - 1)
+        fwd_in = (ang_u - a_next[vi]) % two_pi < span[vi]
+        bwd_in = (ang_u + math.pi - a_next[vi]) % two_pi < span[vi]
+        if not fwd_in and not bwd_in:
+            return GeometryError(
+                f"no chord through vertex {vi} at {degrees:.9f} degrees; "
+                "the vertex does not admit an interior line in this "
+                "direction")
+        # a ray only counts when it leaves v into the interior wedge,
+        # which runs counterclockwise from the outgoing edge direction
+        # to the incoming one; a locally exterior ray ends the chord at
+        # v even if it re-enters the polygon further out
+        lo = None if bwd_in else (0.0, (vi - 1) % n, vx, vy)
+        hi = None if fwd_in else (0.0, vi, vx, vy)
+        for i in sorted(cand):
+            ax, ay = verts[i]
+            bx, by = verts[(i + 1) % n]
+            sa = ux * (ay - vy) - uy * (ax - vx)
+            sb = ux * (by - vy) - uy * (bx - vx)
+            if (sa > 0.0) == (sb > 0.0):
+                continue
+            f = sa / (sa - sb)
+            px = ax + f * (bx - ax)
+            py = ay + f * (by - ay)
+            t = ux * (px - vx) + uy * (py - vy)
+            if bwd_in and t < 0.0 and (lo is None or t > lo[0]):
+                lo = (t, i, px, py)
+            elif fwd_in and t > 0.0 and (hi is None or t < hi[0]):
+                hi = (t, i, px, py)
+        if lo is None or hi is None:
+            return GeometryError(
+                f"chord through vertex {vi} at {degrees:.9f} degrees found "
+                "no boundary exit; the polygon is not simple")
+        return ChordHit(v if lo[0] == 0.0 else Point(lo[2], lo[3]),
+                        v if hi[0] == 0.0 else Point(hi[2], hi[3]),
+                        lo[1], hi[1])
+
+    for j in order:
+        row = want.get(j)
+        if row is not None:
+            hits[row] = chord(j, row)
+            left -= 1
+            if not left:
+                break
+        active ^= incident[j]
+    return hits, near
+
+
+def settle_chord(P: Polygon, vi: int, degrees: float, hit,
+                 diagnostics: Optional[list] = None) -> ChordHit:
+    """The chord through vertex vi from its ``chords_at`` entry at
+    ``degrees``, nudging the angle by CHORD_NUDGE_DEG at a time while the
+    line meets a second vertex.  A nudge is appended to ``diagnostics``
+    when given."""
+    attempt = 0
+    while hit is None:
+        attempt += 1
+        if attempt == 6:
+            raise GeometryError(
+                f"chord through vertex {vi} stays degenerate after nudging; "
+                "input is outside the supported general position")
+        hit = chords_at(P, (vi,), degrees + attempt * CHORD_NUDGE_DEG)[0][0]
+    if isinstance(hit, GeometryError):
+        raise hit
+    if attempt > 0 and diagnostics is not None:
+        diagnostics.append(
+            f"chord through vertex {vi}: angle nudged by "
+            f"{attempt * CHORD_NUDGE_DEG:g} degrees to avoid a vertex hit")
+    return hit
+
+
 def chord_through_vertex(P: Polygon, vi: int, theta: Angle,
                          diagnostics: Optional[list] = None) -> ChordHit:
     """Maximal chord of P through vertex vi in direction theta.
@@ -529,80 +704,6 @@ def chord_through_vertex(P: Polygon, vi: int, theta: Angle,
     perturbed by +1e-7 degrees for this query only; the perturbation is
     appended to ``diagnostics`` when given.
     """
-    n = P.n
-    v = P.vertices[vi]
     base = theta.degrees
-    for attempt in range(6):
-        used = base + attempt * CHORD_NUDGE_DEG
-        r = math.radians(used)
-        ux = math.cos(r)
-        uy = math.sin(r)
-        degenerate = False
-        offs = []
-        for j, w in enumerate(P.vertices):
-            if j == vi:
-                offs.append(0.0)
-                continue
-            s = ux * (w.y - v.y) - uy * (w.x - v.x)
-            # relative test: one CHORD_NUDGE_DEG step swings the line by
-            # ~1.7e-9 rad, enough to clear this margin at any distance
-            d = math.hypot(w.x - v.x, w.y - v.y)
-            if abs(s) <= 1e-9 * d:
-                degenerate = True
-                break
-            offs.append(s)
-        if degenerate:
-            continue
-        crossings = []
-        for i in range(n):
-            j = (i + 1) % n
-            if i == vi or j == vi:
-                continue  # incident edges meet the line only at v itself
-            sa = offs[i]
-            sb = offs[j]
-            if (sa > 0.0) == (sb > 0.0):
-                continue
-            f = sa / (sa - sb)
-            a = P.vertices[i]
-            b = P.vertices[j]
-            px = a.x + f * (b.x - a.x)
-            py = a.y + f * (b.y - a.y)
-            t = ux * (px - v.x) + uy * (py - v.y)
-            crossings.append((t, i, Point(px, py)))
-        # a ray only counts when it leaves v into the interior wedge,
-        # which runs counterclockwise from the outgoing edge direction
-        # to the incoming one; a locally exterior ray ends the chord at
-        # v even if it re-enters the polygon further out
-        two_pi = 2.0 * math.pi
-        a_next = math.atan2(P.vertices[(vi + 1) % n].y - v.y,
-                            P.vertices[(vi + 1) % n].x - v.x)
-        a_prev = math.atan2(P.vertices[(vi - 1) % n].y - v.y,
-                            P.vertices[(vi - 1) % n].x - v.x)
-        span = (a_prev - a_next) % two_pi
-        ang_u = math.atan2(uy, ux)
-        fwd_in = (ang_u - a_next) % two_pi < span
-        bwd_in = (ang_u + math.pi - a_next) % two_pi < span
-        if not fwd_in and not bwd_in:
-            raise GeometryError(
-                f"no chord through vertex {vi} at {used:.9f} degrees; "
-                "the vertex does not admit an interior line in this direction")
-        t_lo = None if bwd_in else (0.0, (vi - 1) % n, v)
-        t_hi = None if fwd_in else (0.0, vi, v)
-        for t, ei, pt in crossings:
-            if bwd_in and t < 0.0 and (t_lo is None or t > t_lo[0]):
-                t_lo = (t, ei, pt)
-            elif fwd_in and t > 0.0 and (t_hi is None or t < t_hi[0]):
-                t_hi = (t, ei, pt)
-        if t_lo is None or t_hi is None:
-            raise GeometryError(
-                f"chord through vertex {vi} at {used:.9f} degrees found no "
-                "boundary exit; the polygon is not simple")
-        if attempt > 0 and diagnostics is not None:
-            diagnostics.append(
-                f"chord through vertex {vi}: angle nudged by "
-                f"{attempt * CHORD_NUDGE_DEG:g} degrees to avoid a vertex hit")
-        return ChordHit(t_lo[2], t_hi[2], t_lo[1], t_hi[1])
-    raise GeometryError(
-        f"chord through vertex {vi} stays degenerate after nudging; "
-        "input is outside the supported general position")
-
+    return settle_chord(P, vi, base, chords_at(P, (vi,), base)[0][0],
+                        diagnostics)

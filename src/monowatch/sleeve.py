@@ -18,6 +18,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from .gates import Gate, ReducedPolygon
 from .geom import (
     T_IDENTITY,
+    TAG_TOL,
     TAU_ONEDGE,
     TAU_ORIENT,
     Angle,
@@ -28,14 +29,10 @@ from .geom import (
     orient_value,
     point_segment_distance,
     segment_segment_intersection,
-    t_apply,
     t_compose,
     t_invert,
     t_reflection,
 )
-
-# matching tolerance for tagging tour vertices against polygon features
-TAG_TOL = 1e-6
 
 
 @dataclass
@@ -229,6 +226,11 @@ class Sleeve:
     image: Point
     source_index: int
     rp: ReducedPolygon
+    # (reduced-polygon vertex, copy) of the source and of every mapped
+    # point, keyed by the point object's id; the sleeve keeps each of
+    # them alive in its panels, mirrors or source
+    vertex_of: Dict[int, Tuple[int, int]] = field(default_factory=dict,
+                                                  repr=False)
 
 
 def _tree_path(tri: Triangulation, sources: Sequence[int],
@@ -304,19 +306,22 @@ def unroll(rp: ReducedPolygon, tri: Triangulation, v) -> Sleeve:
     # keeps every mapped point bit-identical to t_apply(transforms[c], .)
     transforms = [T_IDENTITY]
     maps: List[Dict[int, Point]] = []
+    vertex_of = {id(v_pt): (vi, 0)}
 
-    def map_into(pts: Dict[int, Point], t: tuple, idx) -> None:
-        xx, xy, yx, yy, tx, ty = t
+    def map_into(pts: Dict[int, Point], copy: int, idx) -> None:
+        xx, xy, yx, yy, tx, ty = transforms[copy]
         for i in idx:
             if i not in pts:
                 x, y = verts[i]
-                pts[i] = Point(xx * x + xy * y + tx, yx * x + yy * y + ty)
+                pts[i] = q = Point(xx * x + xy * y + tx,
+                                   yx * x + yy * y + ty)
+                vertex_of[id(q)] = (i, copy)
 
     mirrors: List[Segment] = []
     for ei, _gate in order:
         ea, eb = ei % m, (ei + 1) % m
         pts: Dict[int, Point] = {}
-        map_into(pts, transforms[-1], (ea, eb))
+        map_into(pts, len(maps), (ea, eb))
         maps.append(pts)
         mirror = Segment(pts[ea], pts[eb])
         mirrors.append(mirror)
@@ -339,7 +344,7 @@ def unroll(rp: ReducedPolygon, tri: Triangulation, v) -> Sleeve:
     prev_tv: Tuple[int, ...] = ()
     for copy, leg in enumerate(legs):
         pts = maps[copy]
-        map_into(pts, transforms[copy],
+        map_into(pts, copy,
                  {i for ti in leg for i in triangles[ti]})
         for j, ti in enumerate(leg):
             tv = triangles[ti]
@@ -371,7 +376,7 @@ def unroll(rp: ReducedPolygon, tri: Triangulation, v) -> Sleeve:
 
     return Sleeve(tuple(panels), tuple(portals), tuple(mirrors),
                   tuple(g for _, g in order), tuple(transforms),
-                  v_pt, maps[-1][vi], vi, rp)
+                  v_pt, maps[-1][vi], vi, rp, vertex_of)
 
 
 def _dist2(a: Point, b: Point) -> float:
@@ -509,34 +514,36 @@ def tour_length(cycle: Sequence[Point]) -> float:
     return total
 
 
-def _tag_point(p: Point, source: Polygon, gates: Sequence[Gate]) -> TourTag:
-    """Tag p stable at a reflex vertex of the source polygon, else moving
-    on the first gate chord it touches, else stable at any vertex."""
-    for vi in source.reflex_indices:
-        if _dist2(source.vertices[vi], p) <= TAG_TOL * TAG_TOL:
+def chord_tag(p: Point, gate: Gate) -> TourTag:
+    """Tag of a tour point on a gate chord: stable at the first reflex
+    vertex within TAG_TOL of it, else moving on the gate.  Only the
+    gate's own vertex can be that close, except near an event angle;
+    ``gate.cut.near`` holds every reflex vertex that can."""
+    for vi, q in gate.cut.near:
+        if _dist2(q, p) <= TAG_TOL * TAG_TOL:
             return TourTag("stable", vertex_index=vi)
-    for g in gates:
-        if point_segment_distance(p, g.chord) <= TAG_TOL:
-            return TourTag("moving", gate=g)
-    # non-optimal candidate tours may bend at convex polygon vertices
-    for vi in range(source.n):
-        if _dist2(source.vertices[vi], p) <= TAG_TOL * TAG_TOL:
-            return TourTag("stable", vertex_index=vi)
-    raise GeometryError(f"tour vertex {tuple(p)} is neither a polygon vertex "
-                        "nor on a gate chord")
+    return TourTag("moving", gate=gate)
 
 
 def fold_back(sleeve: Sleeve, path: Sequence[Point]) -> Tour:
     """Map a sleeve path back into the polygon as a closed tagged tour.
 
     The path is cut at its crossing with each mirror in order; piece j
-    is mapped by the inverse of the j-th accumulated reflection.  Points
-    are tagged stable when they sit on a reflex vertex of the source
-    polygon and moving when they sit on a gate chord.
+    is mapped by the inverse of the j-th accumulated reflection.  Tags
+    come from identity, not from a search.  Every point of the path is
+    the source, its image or a portal end, which ``sleeve.vertex_of``
+    names as a reduced vertex, whose origin is a source vertex, where
+    the point is stable, or a gate chord's far end.  A mirror crossing
+    lies on its mirror's gate chord, and so does a far end: a point on a
+    gate chord is tagged by ``chord_tag``.
+
+    A path segment is tested for a mirror crossing only when it is the
+    segment of the previous crossing, or when its end lies beyond the
+    mirror or at one of the mirror's two vertices; a segment ending in
+    an earlier copy elsewhere cannot reach the mirror.
     """
     theta = sleeve.rp.theta
-    source = sleeve.rp.source
-    gates = sleeve.gates
+    rp = sleeve.rp
     points = [Point(p[0], p[1]) for p in path]
     if not points:
         raise GeometryError("cannot fold an empty path")
@@ -547,26 +554,45 @@ def fold_back(sleeve: Sleeve, path: Sequence[Point]) -> Tour:
         for m in sleeve.mirrors:
             if point_segment_distance(p0, m) > TAU_ONEDGE:
                 raise GeometryError("degenerate path misses a mirror")
-        tag = _tag_point(p0, source, gates)
+        origin = rp.origins[sleeve.source_index]
+        tag = (chord_tag(p0, origin) if isinstance(origin, Gate)
+               else TourTag("stable", vertex_index=origin))
         return Tour((p0,), (tag,), 0.0, theta)
+
+    # the reduced vertex and the copy of each path point and mirror end:
+    # the funnel bends only at portal ends, which are the sleeve's own
+    # mapped points
+    vertex_of = sleeve.vertex_of
+    vids: List[int] = []
+    copies: List[int] = []
+    for p in path:
+        entry = vertex_of.get(id(p))
+        if entry is None:
+            raise GeometryError(f"path point {tuple(p)} is not a vertex of "
+                                "the sleeve")
+        vids.append(entry[0])
+        copies.append(entry[1])
 
     # locate the ordered mirror crossings along the polyline
     cross: List[Tuple[int, float, Point]] = []
+    last = len(points) - 1
     si, st = 0, 0.0
     for mi, mirror in enumerate(sleeve.mirrors):
+        on = (vertex_of[id(mirror.a)][0], vertex_of[id(mirror.b)][0])
         found = None
         j = si
-        while j < len(points) - 1:
-            p, q = points[j], points[j + 1]
-            x = segment_segment_intersection(p, q, mirror.a, mirror.b)
-            if x is not None:
-                seg2 = _dist2(p, q)
-                t = 0.0 if seg2 <= 0.0 else (
-                    ((x[0] - p[0]) * (q[0] - p[0]) +
-                     (x[1] - p[1]) * (q[1] - p[1])) / seg2)
-                if j > si or t >= st - 1e-9:
-                    found = (j, max(t, st if j == si else 0.0), x)
-                    break
+        while j < last:
+            if j == si or copies[j + 1] > mi or vids[j + 1] in on:
+                p, q = points[j], points[j + 1]
+                x = segment_segment_intersection(p, q, mirror.a, mirror.b)
+                if x is not None:
+                    seg2 = _dist2(p, q)
+                    t = 0.0 if seg2 <= 0.0 else (
+                        ((x[0] - p[0]) * (q[0] - p[0]) +
+                         (x[1] - p[1]) * (q[1] - p[1])) / seg2)
+                    if j > si or t >= st - 1e-9:
+                        found = (j, max(t, st if j == si else 0.0), x)
+                        break
             j += 1
         if found is None:
             raise GeometryError(
@@ -575,41 +601,58 @@ def fold_back(sleeve: Sleeve, path: Sequence[Point]) -> Tour:
         cross.append(found)
         si, st, _ = found
 
-    # cut into k+1 pieces and push each one back through its transform
-    pieces: List[List[Point]] = []
-    start = points[0]
-    si, st = 0, 0.0
-    for j, t, x in cross:
-        piece = [start]
-        piece.extend(points[si + 1:j + 1])
-        piece.append(x)
-        pieces.append(piece)
-        start = x
-        si, st = j, t
-    tail = [start]
-    tail.extend(points[si + 1:])
-    pieces.append(tail)
+    # cut into k+1 pieces and push each one back through its transform;
+    # beside each point goes its origin, the gate for a mirror crossing
+    path_origins = [rp.origins[i] for i in vids]
+    pieces: List[Tuple[List[Point], list]] = []
+    start, start_origin = points[0], path_origins[0]
+    si = 0
+    for (j, _t, x), gate in zip(cross, sleeve.gates):
+        pieces.append(([start, *points[si + 1:j + 1], x],
+                       [start_origin, *path_origins[si + 1:j + 1], gate]))
+        start, start_origin = x, gate
+        si = j
+    pieces.append(([start, *points[si + 1:]],
+                   [start_origin, *path_origins[si + 1:]]))
 
     folded: List[Point] = []
-    for copy, piece in enumerate(pieces):
-        inv = t_invert(sleeve.transforms[copy])
-        mapped = [t_apply(inv, p) for p in piece]
-        if copy > 0 and folded:
-            joint = mapped[0]
-            if _dist2(folded[-1], joint) > (10 * TAU_ONEDGE) ** 2:
+    origins: list = []
+    for copy, (piece, piece_origins) in enumerate(pieces):
+        xx, xy, yx, yy, tx, ty = t_invert(sleeve.transforms[copy])
+        # t_apply's arithmetic
+        mapped = [Point(xx * x + xy * y + tx, yx * x + yy * y + ty)
+                  for x, y in piece]
+        if folded:
+            if _dist2(folded[-1], mapped[0]) > (10 * TAU_ONEDGE) ** 2:
                 raise GeometryError("mirror crossing folds to inconsistent "
                                     "joints; path exits the sleeve")
-        folded.extend(mapped if not folded else mapped[1:])
+            mapped = mapped[1:]
+            piece_origins = piece_origins[1:]
+        folded.extend(mapped)
+        origins.extend(piece_origins)
 
     # close the cycle: drop the duplicated return to the source vertex
     dedup: List[Point] = []
-    for p in folded:
+    kept: list = []
+    for p, o in zip(folded, origins):
         if dedup and _dist2(dedup[-1], p) <= (1e-9) ** 2:
             continue
         dedup.append(p)
+        kept.append(o)
     while len(dedup) > 1 and _dist2(dedup[0], dedup[-1]) <= (1e-9) ** 2:
         dedup.pop()
+        kept.pop()
 
     cycle = tuple(dedup)
-    tags = tuple(_tag_point(p, source, gates) for p in cycle)
-    return Tour(cycle, tags, tour_length(cycle), theta)
+    # tags are immutable, so the points at one vertex share its tag
+    stable: Dict[int, TourTag] = {}
+    tags = []
+    for p, o in zip(cycle, kept):
+        if isinstance(o, Gate):
+            tags.append(chord_tag(p, o))
+            continue
+        tag = stable.get(o)
+        if tag is None:
+            tag = stable[o] = TourTag("stable", vertex_index=o)
+        tags.append(tag)
+    return Tour(cycle, tuple(tags), tour_length(cycle), theta)

@@ -31,12 +31,11 @@ from .geom import (
     segment_segment_intersection,
 )
 from .sleeve import (
-    TAG_TOL,
     Sleeve,
     Tour,
     TourTag,
     Triangulation,
-    _tag_point,
+    chord_tag,
     fold_back,
     shortest_path,
     triangulate,
@@ -84,9 +83,8 @@ class SolveResult:
     rivals: Tuple[Tour, ...] = ()
 
 
-def _canonical_gate_order(gates: Sequence[Gate]) -> List[Gate]:
-    return sorted(gates, key=lambda g: (g.cut.vertex_index,
-                                        0 if g.cut.kind is CutKind.FORWARD else 1))
+def _gate_key(g: Gate) -> Tuple[int, int]:
+    return (g.cut.vertex_index, 0 if g.cut.kind is CutKind.FORWARD else 1)
 
 
 def _lowest_leftmost_index(P: Polygon) -> int:
@@ -98,8 +96,10 @@ def _lowest_leftmost_index(P: Polygon) -> int:
     return best
 
 
-def _common_tour_point(P: Polygon, gates: Sequence[Gate]) -> Optional[Point]:
-    """A point of some gate chord lying in every other gate's region.
+def _common_tour_point(P: Polygon,
+                       gates: Sequence[Gate]) -> Optional[Tuple[Point, Gate]]:
+    """A point of some gate chord lying in every other gate's region,
+    with the gate whose chord it was taken from.
 
     Candidates on each chord are its midpoint and every gate chord end
     on it, its own two included; the first gate owning a feasible
@@ -113,15 +113,15 @@ def _common_tour_point(P: Polygon, gates: Sequence[Gate]) -> Optional[Point]:
                    if j != skip for k in keys)
 
     for gi, g in enumerate(gates):
-        cands = [(g.chord.midpoint(), arcs[gi])]
+        cands = [(g.chord.midpoint(), arcs[gi], g)]
         for h, (kb, ka) in zip(gates, arcs):
             for q, k in ((h.chord.a, ka), (h.chord.b, kb)):
                 if point_segment_distance(q, g.chord) <= TAU_ONEDGE:
-                    cands.append((Point(q[0], q[1]), (k,)))
-        feasible = [q for q, keys in cands if in_all_others(keys, gi)]
+                    cands.append((Point(q[0], q[1]), (k,), h))
+        feasible = [(q, h) for q, keys, h in cands if in_all_others(keys, gi)]
         if feasible:
             v = g.cut.vertex
-            return min(feasible, key=lambda q: math.dist(q, v))
+            return min(feasible, key=lambda qh: math.dist(qh[0], v))
     return None
 
 
@@ -141,8 +141,7 @@ def _same_color_picks(rp: ReducedPolygon) -> List[int]:
     ess = _essential_ring_order(rp)
     k = len(ess)
     poly = rp.polygon
-    source = rp.source
-    reflex_pts = [source.vertices[i] for i in source.reflex_indices]
+    reflex = set(rp.source.reflex_indices)
     picks: List[int] = []
     for i in range(k):
         ei, gi = ess[i]
@@ -155,12 +154,10 @@ def _same_color_picks(rp: ReducedPolygon) -> List[int]:
         d = gi.cut.direction()
         nx, ny = -d.y, d.x
 
-        def is_source_reflex(idx: int) -> bool:
-            p = poly.vertices[idx]
-            return any((p.x - q.x) ** 2 + (p.y - q.y) ** 2 <= TAG_TOL * TAG_TOL
-                       for q in reflex_pts)
-
-        pool = [idx for idx in interior if is_source_reflex(idx)]
+        # only a source vertex can be reflex; a far end's origin is a gate
+        pool = [idx for idx in interior
+                if not isinstance(rp.origins[idx], Gate)
+                and rp.origins[idx] in reflex]
         if not pool:
             pool = interior
         best = pool[0]
@@ -191,27 +188,28 @@ def _candidate_indices(rp: ReducedPolygon, tri: Triangulation,
         raise GeometryError("candidate generation needs at least two "
                             "essential edges")
 
-    gates = _canonical_gate_order(g for _, g in rp.essential)
-    colors = {g.cut.color for g in gates}
+    colors = {g.cut.color for _, g in rp.essential}
     if k == 2 and len(colors) == 1:
         picks = _same_color_picks(rp)
         if len(picks) == 2:
             return _dedupe(picks)
 
+    # in canonical gate order, each gate's two chord ends: its essential
+    # edge joins them, and the vertex end is the one whose origin is the
+    # gate's vertex
+    m = poly.n
     out: List[int] = []
-    for g in gates:
-        for p in (g.cut.vertex, g.cut.far_point):
-            vi = poly.find_vertex(p)
-            if vi is None:
-                raise GeometryError("gate chord endpoint is not a reduced "
-                                    "polygon vertex")
-            out.append(vi)
+    for ei, g in sorted(rp.essential, key=lambda pair: _gate_key(pair[1])):
+        a, b = ei, (ei + 1) % m
+        out.extend((a, b) if rp.origins[a] == g.cut.vertex_index else (b, a))
+    # copy 0 of a sleeve holds the reduced vertices themselves
+    index = {p: i for i, p in enumerate(poly.vertices)}
     # last bend of each endpoint's taut path before it first leaves copy 0
     for vi in list(out):
         extra = _last_vertex_before_first_mirror(
             *_sleeve_path(rp, tri, vi, sleeve_cache))
         if extra is not None:
-            wi = poly.find_vertex(extra)
+            wi = index.get(extra)
             if wi is not None:
                 out.append(wi)
     if k >= 3:
@@ -295,10 +293,10 @@ def solve_theta(P: Polygon, theta) -> SolveResult:
     if not gates:
         raise GeometryError("cuts exist but no gate was selected")
 
-    common = _common_tour_point(P, gates)
-    if common is not None:
-        tag = _tag_point(common, P, gates)
-        tour = Tour((common,), (tag,), 0.0, theta)
+    found = _common_tour_point(P, gates)
+    if found is not None:
+        common, owner = found
+        tour = Tour((common,), (chord_tag(common, owner),), 0.0, theta)
         subs = tuple(decompose_subpaths(tour))
         return SolveResult(tour, cuts, gates, (common,), subs, theta,
                            tuple(diag), common_point=common)

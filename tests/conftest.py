@@ -129,3 +129,36 @@ def solve_or_none(P: Polygon, theta: float):
         return solve_theta(P, Angle(theta))
     except EventAngleError:
         return None
+
+
+def reference_corpus():
+    """(polygon, angle) pairs the reference comparisons solve: the mixed
+    corpus at 10 angles each, combs k=2..128 at one angle in each 7.5
+    degree slice, spiral seeds 0-7 at 30 angles each and toothgap at 60."""
+    cases = []
+    for i, P in enumerate(mixed_corpus(200)):
+        rng = random.Random(i)
+        cases.extend((P, rng.uniform(0.0, 180.0)) for _ in range(10))
+    for k in (2, 8, 16, 32, 64, 128):
+        P = comb(k)
+        rng = random.Random(k)
+        cases.extend((P, rng.uniform(7.5 * j, 7.5 * (j + 1)))
+                     for j in range(24))
+    for seed in range(8):
+        P = spiral_corridor(seed)
+        rng = random.Random(seed)
+        cases.extend((P, rng.uniform(0.0, 180.0)) for _ in range(30))
+    P = make_polygon(inputs.TOOTHGAP_PTS)
+    cases.extend((P, 3.0 * j + 0.5) for j in range(60))
+    return cases
+
+
+@pytest.fixture(scope="session")
+def corpus_solves():
+    """(polygon, angle, solve result) for every solvable reference case."""
+    out = []
+    for P, th in reference_corpus():
+        res = solve_or_none(P, th)
+        if res is not None:
+            out.append((P, th, res))
+    return out

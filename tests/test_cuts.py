@@ -1,5 +1,6 @@
 import math
 import random
+from typing import List, Optional
 
 import pytest
 
@@ -8,17 +9,31 @@ from monowatch import (
     EventAngleError,
     classify_vertex,
     compute_cuts,
+    enumerate_candidate_events,
     left_region_contains,
 )
-from monowatch.cuts import VertexClass
+from monowatch.cuts import (
+    CutColor,
+    CutKind,
+    ThetaCut,
+    VertexClass,
+    _classify_direction,
+    _validity_event,
+)
 from monowatch.geom import (
+    CHORD_NUDGE_DEG,
+    TAU_ONEDGE,
+    ChordHit,
+    GeometryError,
     Point,
+    Polygon,
+    Segment,
     chord_through_vertex,
     ring_contains,
     split_ring,
 )
 
-from conftest import corpus_polygon
+from conftest import comb, corpus_polygon, spiral_corridor
 
 VALIDITY_DEG = math.degrees(math.atan(4.0))  # edge slope shared by fixtures
 
@@ -168,3 +183,181 @@ def _point_chord_dist(p, chord):
         (ax * ax + ay * ay)
     t = min(1.0, max(0.0, t))
     return math.hypot(p.x - (chord.a.x + t * ax), p.y - (chord.a.y + t * ay))
+
+
+# The per-vertex chord loop and the cut loop that called it, kept as the
+# reference ``chords_at`` must reproduce bit for bit.
+
+def _reference_chord_through_vertex(P: Polygon, vi: int, theta: Angle,
+                         diagnostics: Optional[list] = None) -> ChordHit:
+    """Maximal chord of P through vertex vi in direction theta.
+
+    The chord is the connected component, around the vertex, of the line
+    clipped to the polygon; when the line enters the interior on one side
+    of the vertex only, the vertex itself is the other endpoint.  When
+    the line meets a second vertex or runs along an edge the angle is
+    perturbed by +1e-7 degrees for this query only; the perturbation is
+    appended to ``diagnostics`` when given.
+    """
+    n = P.n
+    v = P.vertices[vi]
+    base = theta.degrees
+    for attempt in range(6):
+        used = base + attempt * CHORD_NUDGE_DEG
+        r = math.radians(used)
+        ux = math.cos(r)
+        uy = math.sin(r)
+        degenerate = False
+        offs = []
+        for j, w in enumerate(P.vertices):
+            if j == vi:
+                offs.append(0.0)
+                continue
+            s = ux * (w.y - v.y) - uy * (w.x - v.x)
+            # relative test: one CHORD_NUDGE_DEG step swings the line by
+            # ~1.7e-9 rad, enough to clear this margin at any distance
+            d = math.hypot(w.x - v.x, w.y - v.y)
+            if abs(s) <= 1e-9 * d:
+                degenerate = True
+                break
+            offs.append(s)
+        if degenerate:
+            continue
+        crossings = []
+        for i in range(n):
+            j = (i + 1) % n
+            if i == vi or j == vi:
+                continue  # incident edges meet the line only at v itself
+            sa = offs[i]
+            sb = offs[j]
+            if (sa > 0.0) == (sb > 0.0):
+                continue
+            f = sa / (sa - sb)
+            a = P.vertices[i]
+            b = P.vertices[j]
+            px = a.x + f * (b.x - a.x)
+            py = a.y + f * (b.y - a.y)
+            t = ux * (px - v.x) + uy * (py - v.y)
+            crossings.append((t, i, Point(px, py)))
+        # a ray only counts when it leaves v into the interior wedge,
+        # which runs counterclockwise from the outgoing edge direction
+        # to the incoming one; a locally exterior ray ends the chord at
+        # v even if it re-enters the polygon further out
+        two_pi = 2.0 * math.pi
+        a_next = math.atan2(P.vertices[(vi + 1) % n].y - v.y,
+                            P.vertices[(vi + 1) % n].x - v.x)
+        a_prev = math.atan2(P.vertices[(vi - 1) % n].y - v.y,
+                            P.vertices[(vi - 1) % n].x - v.x)
+        span = (a_prev - a_next) % two_pi
+        ang_u = math.atan2(uy, ux)
+        fwd_in = (ang_u - a_next) % two_pi < span
+        bwd_in = (ang_u + math.pi - a_next) % two_pi < span
+        if not fwd_in and not bwd_in:
+            raise GeometryError(
+                f"no chord through vertex {vi} at {used:.9f} degrees; "
+                "the vertex does not admit an interior line in this direction")
+        t_lo = None if bwd_in else (0.0, (vi - 1) % n, v)
+        t_hi = None if fwd_in else (0.0, vi, v)
+        for t, ei, pt in crossings:
+            if bwd_in and t < 0.0 and (t_lo is None or t > t_lo[0]):
+                t_lo = (t, ei, pt)
+            elif fwd_in and t > 0.0 and (t_hi is None or t < t_hi[0]):
+                t_hi = (t, ei, pt)
+        if t_lo is None or t_hi is None:
+            raise GeometryError(
+                f"chord through vertex {vi} at {used:.9f} degrees found no "
+                "boundary exit; the polygon is not simple")
+        if attempt > 0 and diagnostics is not None:
+            diagnostics.append(
+                f"chord through vertex {vi}: angle nudged by "
+                f"{attempt * CHORD_NUDGE_DEG:g} degrees to avoid a vertex hit")
+        return ChordHit(t_lo[2], t_hi[2], t_lo[1], t_hi[1])
+    raise GeometryError(
+        f"chord through vertex {vi} stays degenerate after nudging; "
+        "input is outside the supported general position")
+
+
+def _reference_compute_cuts(P: Polygon, theta: Angle,
+                 diagnostics: Optional[list] = None) -> List[ThetaCut]:
+    """All cuts of P at angle theta, ordered by issuing vertex index.
+
+    Raises EventAngleError when any reflex vertex classifies as
+    Boundary, or when its chord ends at the vertex or a neighbour: theta
+    is then a validity event and the cut structure is not well defined.
+    """
+    r = theta.radians
+    ux = math.cos(r)
+    uy = math.sin(r)
+    out: List[ThetaCut] = []
+    for vi in P.reflex_indices:
+        cls = _classify_direction(P, vi, ux, uy)
+        if cls is VertexClass.BOUNDARY:
+            raise _validity_event(P, theta, vi)
+        if cls not in (VertexClass.RED, VertexClass.BLUE):
+            continue
+        color = CutColor.RED if cls is VertexClass.RED else CutColor.BLUE
+        hit = _reference_chord_through_vertex(P, vi, theta, diagnostics)
+        # an edge just off parallel (TAU_ORIENT is absolute) can leave a
+        # chord end at the vertex itself or at a neighbour, where the
+        # left region degenerates: that is the same validity event
+        v = P.vertices[vi]
+        near = (P.vertices[vi - 1], v, P.vertices[(vi + 1) % P.n])
+        if any(math.dist(q, w) <= TAU_ONEDGE
+               for q in (hit.lo, hit.hi) for w in near):
+            raise _validity_event(P, theta, vi)
+        off_lo = (hit.edge_lo - vi) % P.n
+        off_hi = (hit.edge_hi - vi) % P.n
+        # the forward endpoint is the chord end reached first on a
+        # counterclockwise boundary walk from the vertex
+        if off_lo < off_hi:
+            e_f, ef_edge = hit.lo, hit.edge_lo
+            e_b, eb_edge = hit.hi, hit.edge_hi
+        else:
+            e_f, ef_edge = hit.hi, hit.edge_hi
+            e_b, eb_edge = hit.lo, hit.edge_lo
+        out.append(ThetaCut(v, vi, Segment(v, e_f), color,
+                            CutKind.FORWARD, theta, ef_edge))
+        out.append(ThetaCut(v, vi, Segment(e_b, v), color,
+                            CutKind.BACKWARD, theta, eb_edge))
+    return out
+
+
+def test_cuts_match_reference_chord_loop(corpus_solves):
+    """Chord ends, far edges and nudge diagnostics of every cut equal the
+    per-vertex loop's, on every solvable case of the reference corpus."""
+    for P, th, res in corpus_solves:
+        got_diag, want_diag = [], []
+        got = compute_cuts(P, Angle(th), got_diag)
+        want = _reference_compute_cuts(P, Angle(th), want_diag)
+        # repr tells -0.0 from 0.0 and prints every float exactly
+        assert repr(got) == repr(want), th
+        assert got_diag == want_diag, th
+        assert repr(res.cuts) == repr(tuple(want)), th
+    assert len(corpus_solves) >= 2000
+
+
+def _chord_outcome(fn, P, vi, th):
+    diag = []
+    try:
+        return repr(fn(P, vi, Angle(th), diag)), diag
+    except GeometryError as exc:
+        return f"{type(exc).__name__}: {exc}", diag
+
+
+def test_chord_nudges_match_reference(toothgap, double, unotch):
+    """At, and 1e-9 degrees off, every candidate event, where lines meet
+    second vertices and get nudged, every reflex vertex's chord, error
+    and diagnostics equal the per-vertex loop's."""
+    nudged = 0
+    for P in (toothgap, double, unotch, comb(2), spiral_corridor(0),
+              spiral_corridor(1)):
+        for e in enumerate_candidate_events(P):
+            for d in (0.0, -1e-9, 1e-9):
+                th = (e.angle_deg + d) % 180.0
+                for vi in P.reflex_indices:
+                    got = _chord_outcome(chord_through_vertex, P, vi, th)
+                    want = _chord_outcome(_reference_chord_through_vertex,
+                                          P, vi, th)
+                    assert got == want, (P.n, th, vi)
+                    nudged += bool(want[1])
+    assert nudged > 0

@@ -3,19 +3,24 @@ import random
 
 import pytest
 
+from typing import Sequence
+
 from monowatch import (
     Angle,
     EventAngleError,
     compute_cuts,
     compute_gates,
     dominates,
+    enumerate_candidate_events,
     left_region,
     reduce_polygon,
     solve_theta,
 )
+from monowatch.cuts import ThetaCut
+from monowatch.gates import _refuse_collinear_same_color
 from monowatch.geom import TAU_ONEDGE, ring_area, ring_contains
 
-from conftest import corpus_polygon, mixed_corpus, spiral_corridor
+from conftest import comb, corpus_polygon, mixed_corpus, spiral_corridor
 
 
 def _cut(cuts, vertex, kind):
@@ -203,3 +208,56 @@ def test_gates_match_ring_reference():
                 assert ring_contains(ring, res.common_point) >= 0, (P, th)
         compared += 1
     assert compared >= 2000 and with_common > 0
+
+
+def _reference_refuse_collinear_same_color(cuts: Sequence[ThetaCut]) -> None:
+    """Raise on the first pair of same-colored cuts from different
+    vertices whose chords lie on one line (a domination event)."""
+    for i, c1 in enumerate(cuts):
+        d = None
+        for c2 in cuts[i + 1:]:
+            if c1.color is not c2.color or c1.vertex_index == c2.vertex_index:
+                continue
+            if d is None:
+                # c1's unit direction and anchor, once for all its pairs
+                d = c1.chord.direction()
+                dx, dy = d
+                ax, ay = c1.chord.a
+            (px, py), (qx, qy) = c2.chord
+            if (abs(dx * (py - ay) - dy * (px - ax)) > TAU_ONEDGE
+                    or abs(dx * (qy - ay) - dy * (qx - ax)) > TAU_ONEDGE):
+                continue
+            raise EventAngleError(
+                f"theta={c1.theta.degrees:.9f} is a domination event: "
+                f"cuts from vertices {c1.vertex_index} and "
+                f"{c2.vertex_index} share a chord line",
+                angle=c1.theta.degrees, kind="Domination",
+                witness=(c1.vertex_index, c2.vertex_index))
+
+
+def _refusal(fn, cuts):
+    try:
+        fn(cuts)
+    except EventAngleError as exc:
+        return (str(exc), exc.angle, exc.kind, exc.witness)
+    return None
+
+
+def test_collinear_check_matches_pairwise_reference(toothgap):
+    """At, and 1e-9 and 1e-7 degrees off, every candidate event, the
+    grouped check refuses the same first pair as the all-pairs check."""
+    polys = list(mixed_corpus(200)) + [comb(k) for k in (2, 8, 16)]
+    polys += [spiral_corridor(seed) for seed in range(8)] + [toothgap]
+    compared = refused = 0
+    for P in polys:
+        for e in enumerate_candidate_events(P):
+            for d in (0.0, -1e-9, 1e-9, -1e-7, 1e-7):
+                try:
+                    cuts = compute_cuts(P, Angle(e.angle_deg + d))
+                except EventAngleError:
+                    continue
+                want = _refusal(_reference_refuse_collinear_same_color, cuts)
+                assert _refusal(_refuse_collinear_same_color, cuts) == want
+                compared += 1
+                refused += want is not None
+    assert compared > 10000 and refused > 0

@@ -1,5 +1,6 @@
 import math
 import random
+from typing import List, Sequence, Tuple
 
 import pytest
 
@@ -16,7 +17,7 @@ from monowatch import (
     triangulate,
     unroll,
 )
-from monowatch.gates import ReducedPolygon
+from monowatch.gates import Gate, ReducedPolygon
 from monowatch.geom import (
     T_IDENTITY,
     TAU_ONEDGE,
@@ -26,14 +27,17 @@ from monowatch.geom import (
     Polygon,
     Segment,
     orient_value,
+    point_segment_distance,
     reflect_point,
     ring_area,
     ring_contains,
+    segment_segment_intersection,
     t_apply,
     t_compose,
+    t_invert,
     t_reflection,
 )
-from monowatch.sleeve import Panel, Portal, Sleeve
+from monowatch.sleeve import TAG_TOL, Panel, Portal, Sleeve, Tour, TourTag
 
 from conftest import (
     comb,
@@ -618,3 +622,145 @@ def _seg_dist(p, a, b):
     t = ((p.x - a.x) * ax + (p.y - a.y) * ay) / (ax * ax + ay * ay)
     t = min(1.0, max(0.0, t))
     return math.hypot(p.x - (a.x + t * ax), p.y - (a.y + t * ay))
+
+
+# Tagging by search and the fold that used it, kept as the reference
+# that tagging by identity must reproduce.
+
+def _reference_tag_point(p: Point, source: Polygon, gates: Sequence[Gate]) -> TourTag:
+    """Tag p stable at a reflex vertex of the source polygon, else moving
+    on the first gate chord it touches, else stable at any vertex."""
+    for vi in source.reflex_indices:
+        if _dist2(source.vertices[vi], p) <= TAG_TOL * TAG_TOL:
+            return TourTag("stable", vertex_index=vi)
+    for g in gates:
+        if point_segment_distance(p, g.chord) <= TAG_TOL:
+            return TourTag("moving", gate=g)
+    # non-optimal candidate tours may bend at convex polygon vertices
+    for vi in range(source.n):
+        if _dist2(source.vertices[vi], p) <= TAG_TOL * TAG_TOL:
+            return TourTag("stable", vertex_index=vi)
+    raise GeometryError(f"tour vertex {tuple(p)} is neither a polygon vertex "
+                        "nor on a gate chord")
+
+
+def _reference_fold_back(sleeve: Sleeve, path: Sequence[Point]) -> Tour:
+    """Map a sleeve path back into the polygon as a closed tagged tour.
+
+    The path is cut at its crossing with each mirror in order; piece j
+    is mapped by the inverse of the j-th accumulated reflection.  Points
+    are tagged stable when they sit on a reflex vertex of the source
+    polygon and moving when they sit on a gate chord.
+    """
+    theta = sleeve.rp.theta
+    source = sleeve.rp.source
+    gates = sleeve.gates
+    points = [Point(p[0], p[1]) for p in path]
+    if not points:
+        raise GeometryError("cannot fold an empty path")
+
+    k = len(sleeve.mirrors)
+    if k == 0 or len(points) == 1:
+        p0 = points[0]
+        for m in sleeve.mirrors:
+            if point_segment_distance(p0, m) > TAU_ONEDGE:
+                raise GeometryError("degenerate path misses a mirror")
+        tag = _reference_tag_point(p0, source, gates)
+        return Tour((p0,), (tag,), 0.0, theta)
+
+    # locate the ordered mirror crossings along the polyline
+    cross: List[Tuple[int, float, Point]] = []
+    si, st = 0, 0.0
+    for mi, mirror in enumerate(sleeve.mirrors):
+        found = None
+        j = si
+        while j < len(points) - 1:
+            p, q = points[j], points[j + 1]
+            x = segment_segment_intersection(p, q, mirror.a, mirror.b)
+            if x is not None:
+                seg2 = _dist2(p, q)
+                t = 0.0 if seg2 <= 0.0 else (
+                    ((x[0] - p[0]) * (q[0] - p[0]) +
+                     (x[1] - p[1]) * (q[1] - p[1])) / seg2)
+                if j > si or t >= st - 1e-9:
+                    found = (j, max(t, st if j == si else 0.0), x)
+                    break
+            j += 1
+        if found is None:
+            raise GeometryError(
+                f"sleeve path never crosses mirror {mi}; the funnel output "
+                "is inconsistent")
+        cross.append(found)
+        si, st, _ = found
+
+    # cut into k+1 pieces and push each one back through its transform
+    pieces: List[List[Point]] = []
+    start = points[0]
+    si, st = 0, 0.0
+    for j, t, x in cross:
+        piece = [start]
+        piece.extend(points[si + 1:j + 1])
+        piece.append(x)
+        pieces.append(piece)
+        start = x
+        si, st = j, t
+    tail = [start]
+    tail.extend(points[si + 1:])
+    pieces.append(tail)
+
+    folded: List[Point] = []
+    for copy, piece in enumerate(pieces):
+        inv = t_invert(sleeve.transforms[copy])
+        mapped = [t_apply(inv, p) for p in piece]
+        if copy > 0 and folded:
+            joint = mapped[0]
+            if _dist2(folded[-1], joint) > (10 * TAU_ONEDGE) ** 2:
+                raise GeometryError("mirror crossing folds to inconsistent "
+                                    "joints; path exits the sleeve")
+        folded.extend(mapped if not folded else mapped[1:])
+
+    # close the cycle: drop the duplicated return to the source vertex
+    dedup: List[Point] = []
+    for p in folded:
+        if dedup and _dist2(dedup[-1], p) <= (1e-9) ** 2:
+            continue
+        dedup.append(p)
+    while len(dedup) > 1 and _dist2(dedup[0], dedup[-1]) <= (1e-9) ** 2:
+        dedup.pop()
+
+    cycle = tuple(dedup)
+    tags = tuple(_reference_tag_point(p, source, gates) for p in cycle)
+    return Tour(cycle, tags, tour_length(cycle), theta)
+
+
+def _tag_key(tag):
+    return (tag.kind, tag.vertex_index, tag.gate)
+
+
+def test_fold_back_matches_reference_tags(corpus_solves):
+    """Every candidate tour of every solvable reference case, and every
+    point tour, has the cycle, length and tags of the fold that tagged by
+    search."""
+    folds = points = 0
+    for P, th, res in corpus_solves:
+        if res.reduced is None:
+            assert len(res.tour.cycle) == 1
+            want = _reference_tag_point(res.tour.cycle[0], P, res.gates)
+            assert _tag_key(res.tour.tags[0]) == _tag_key(want), th
+            points += 1
+            continue
+        rp = res.reduced
+        tri = triangulate(rp)
+        for v, rival in zip(res.candidates, res.rivals):
+            S = unroll(rp, tri, v)
+            path = shortest_path(S)
+            want = _reference_fold_back(S, path)
+            got = fold_back(S, path)
+            for tour in (got, rival):
+                assert repr(tour.cycle) == repr(want.cycle), th
+                assert repr(tour.length) == repr(want.length), th
+                assert ([_tag_key(t) for t in tour.tags]
+                        == [_tag_key(t) for t in want.tags]), th
+            folds += 1
+    assert len(corpus_solves) >= 2000
+    assert folds > 2000 and points > 0
