@@ -226,11 +226,8 @@ class Sleeve:
     image: Point
     source_index: int
     rp: ReducedPolygon
-    # (reduced-polygon vertex, copy) of the source and of every mapped
-    # point, keyed by the point object's id; the sleeve keeps each of
-    # them alive in its panels, mirrors or source
-    vertex_of: Dict[int, Tuple[int, int]] = field(default_factory=dict,
-                                                  repr=False)
+    # the reduced-polygon vertex at each portal's left and right end
+    portal_vertices: Tuple[Tuple[int, int], ...] = ()
 
 
 def _tree_path(tri: Triangulation, sources: Sequence[int],
@@ -306,22 +303,19 @@ def unroll(rp: ReducedPolygon, tri: Triangulation, v) -> Sleeve:
     # keeps every mapped point bit-identical to t_apply(transforms[c], .)
     transforms = [T_IDENTITY]
     maps: List[Dict[int, Point]] = []
-    vertex_of = {id(v_pt): (vi, 0)}
 
-    def map_into(pts: Dict[int, Point], copy: int, idx) -> None:
-        xx, xy, yx, yy, tx, ty = transforms[copy]
+    def map_into(pts: Dict[int, Point], t: tuple, idx) -> None:
+        xx, xy, yx, yy, tx, ty = t
         for i in idx:
             if i not in pts:
                 x, y = verts[i]
-                pts[i] = q = Point(xx * x + xy * y + tx,
-                                   yx * x + yy * y + ty)
-                vertex_of[id(q)] = (i, copy)
+                pts[i] = Point(xx * x + xy * y + tx, yx * x + yy * y + ty)
 
     mirrors: List[Segment] = []
     for ei, _gate in order:
         ea, eb = ei % m, (ei + 1) % m
         pts: Dict[int, Point] = {}
-        map_into(pts, len(maps), (ea, eb))
+        map_into(pts, transforms[-1], (ea, eb))
         maps.append(pts)
         mirror = Segment(pts[ea], pts[eb])
         mirrors.append(mirror)
@@ -341,10 +335,11 @@ def unroll(rp: ReducedPolygon, tri: Triangulation, v) -> Sleeve:
     triangles = tri.triangles
     panels: List[Panel] = []
     portals: List[Portal] = []
+    ends: List[Tuple[int, int]] = []
     prev_tv: Tuple[int, ...] = ()
     for copy, leg in enumerate(legs):
         pts = maps[copy]
-        map_into(pts, copy,
+        map_into(pts, transforms[copy],
                  {i for ti in leg for i in triangles[ti]})
         for j, ti in enumerate(leg):
             tv = triangles[ti]
@@ -369,14 +364,15 @@ def unroll(rp: ReducedPolygon, tri: Triangulation, v) -> Sleeve:
                 r_world = pts[a + b + c - s0 - s1]
                 if ((right[0] - left[0]) * (r_world[1] - left[1])
                         - (right[1] - left[1]) * (r_world[0] - left[0]) < 0.0):
-                    left, right = right, left
+                    left, right, s0, s1 = right, left, s1, s0
                 portals.append(Portal(left, right, mirror_idx))
+                ends.append((s0, s1))
             panels.append(Panel(copy, ti, (pts[a], pts[b], pts[c])))
             prev_tv = tv
 
     return Sleeve(tuple(panels), tuple(portals), tuple(mirrors),
                   tuple(g for _, g in order), tuple(transforms),
-                  v_pt, maps[-1][vi], vi, rp, vertex_of)
+                  v_pt, maps[-1][vi], vi, rp, tuple(ends))
 
 
 def _dist2(a: Point, b: Point) -> float:
@@ -531,11 +527,11 @@ def fold_back(sleeve: Sleeve, path: Sequence[Point]) -> Tour:
     The path is cut at its crossing with each mirror in order; piece j
     is mapped by the inverse of the j-th accumulated reflection.  Tags
     come from identity, not from a search.  Every point of the path is
-    the source, its image or a portal end, which ``sleeve.vertex_of``
-    names as a reduced vertex, whose origin is a source vertex, where
-    the point is stable, or a gate chord's far end.  A mirror crossing
-    lies on its mirror's gate chord, and so does a far end: a point on a
-    gate chord is tagged by ``chord_tag``.
+    the source, its image or a portal end, which
+    ``sleeve.portal_vertices`` names as a reduced vertex.  Its origin is
+    a source vertex, where the point is stable, or a gate chord's far
+    end.  A mirror crossing lies on its mirror's gate chord, and so does
+    a far end: a point on a gate chord is tagged by ``chord_tag``.
 
     A path segment is tested for a mirror crossing only when it is the
     segment of the previous crossing, or when its end lies beyond the
@@ -559,26 +555,44 @@ def fold_back(sleeve: Sleeve, path: Sequence[Point]) -> Tour:
                else TourTag("stable", vertex_index=origin))
         return Tour((p0,), (tag,), 0.0, theta)
 
-    # the reduced vertex and the copy of each path point and mirror end:
-    # the funnel bends only at portal ends, which are the sleeve's own
-    # mapped points
-    vertex_of = sleeve.vertex_of
-    vids: List[int] = []
-    copies: List[int] = []
-    for p in path:
-        entry = vertex_of.get(id(p))
-        if entry is None:
-            raise GeometryError(f"path point {tuple(p)} is not a vertex of "
-                                "the sleeve")
-        vids.append(entry[0])
-        copies.append(entry[1])
+    # the reduced vertex and the copy of each path point, found by
+    # walking the portals forward: the funnel bends only at portal ends,
+    # in portal order, and each copy's points are its own objects
+    portals = sleeve.portals
+    ends = sleeve.portal_vertices
+    vids = [sleeve.source_index]
+    copies = [0]
+    mirror_ends: List[Tuple[int, int]] = []
+    pi = copy = 0
+    for p in path[1:]:
+        while pi < len(portals):
+            portal = portals[pi]
+            if p is portal.left:
+                vids.append(ends[pi][0])
+                break
+            if p is portal.right:
+                vids.append(ends[pi][1])
+                break
+            if portal.mirror >= 0:
+                mirror_ends.append(ends[pi])
+                copy += 1
+            pi += 1
+        else:
+            if p is not sleeve.image:
+                raise GeometryError(f"path point {tuple(p)} is not a "
+                                    "vertex of the sleeve")
+            vids.append(sleeve.source_index)
+            copy = k
+        copies.append(copy)
+    mirror_ends.extend(pair for portal, pair in zip(portals[pi:], ends[pi:])
+                       if portal.mirror >= 0)
 
     # locate the ordered mirror crossings along the polyline
     cross: List[Tuple[int, float, Point]] = []
     last = len(points) - 1
     si, st = 0, 0.0
     for mi, mirror in enumerate(sleeve.mirrors):
-        on = (vertex_of[id(mirror.a)][0], vertex_of[id(mirror.b)][0])
+        on = mirror_ends[mi]
         found = None
         j = si
         while j < last:
