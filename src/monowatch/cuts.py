@@ -149,11 +149,13 @@ def compute_cuts(P: Polygon, theta: Angle,
 
     The chords of all colored reflex vertices are found together by
     ``chords_at``; a chord whose line meets a second vertex is nudged on
-    its own, as ``chord_through_vertex`` does.  Raises EventAngleError
-    when any reflex vertex classifies as Boundary, or when its chord ends
-    at the vertex or a neighbour: theta is then a validity event and the
-    cut structure is not well defined.  Errors are raised for the first
-    vertex in index order that has one.
+    its own, as ``chord_through_vertex`` does.  The same sweep gives each
+    cut's ``near``, so tour points on the chord are later tagged from it
+    and their identity instead of a search of the polygon.  Raises
+    EventAngleError when any reflex vertex classifies as Boundary, or
+    when its chord ends at the vertex or a neighbour: theta is then a
+    validity event and the cut structure is not well defined.  Errors
+    are raised for the first vertex in index order that has one.
     """
     r = theta.radians
     ux = math.cos(r)
