@@ -13,11 +13,12 @@ certificates that fail where the solve's tags would change (see
 ``evaluate_close_tour``); an angle where no frozen structure holds is
 solved in full and frozen in turn.  So an event-free interval costs one
 full solve, plus one audit solve at its last sample that must match the
-frozen signature and length; a mismatch sends the interval to full
-solves of every sample, noted in the report.
+frozen signature and length; a mismatch, noted in the report, has the
+same scan and bisection run over the interval again with every angle
+solved in full.
 
 The scan records each local minimum of a clean interval as a bracket
-together with the solve its sample was evaluated on.  Once every
+together with the structure its sample was evaluated on.  Once every
 interval is scanned, a flat zero-length interval, if any exists, wins
 outright: flat intervals compete by width with the midpoint as
 representative and no bracket is refined.  Otherwise each bracket gets
@@ -263,6 +264,20 @@ class _Structures:
         return fz, r.tour.length, refusal
 
 
+class _Solves(_Structures):
+    """Structures that solve every angle in full, trusting no frozen one.
+
+    The scan runs on these where an audit solve disagrees with the
+    frozen structures.
+    """
+
+    def at(self, x: float):
+        r = _solve_robust(self.P, x)
+        if r is None:
+            return None
+        return _frozen_at(self.P, x, r), r.tour.length, None
+
+
 @dataclass
 class _ScanState:
     detected: List[Event] = field(default_factory=list)
@@ -270,9 +285,8 @@ class _ScanState:
     intervals: List[Tuple[float, float]] = field(default_factory=list)
     candidates: List[Tuple[float, float]] = field(default_factory=list)
     flats: List[Tuple[float, float]] = field(default_factory=list)
-    # local minima left for refinement: (a, b, freeze angle, its solve)
-    brackets: List[Tuple[float, float, float, SolveResult]] = field(
-        default_factory=list)
+    # local minima left for refinement: (a, b, structure read there)
+    brackets: List[Tuple[float, float, _Frozen]] = field(default_factory=list)
     notes: List[str] = field(default_factory=list)
 
 
@@ -285,10 +299,8 @@ def _crossed_vertex(n: int, e_old: int, e_new: int) -> Optional[int]:
     return None
 
 
-def _classify_split(P: Polygon, res_a: Optional[SolveResult],
-                    res_b: Optional[SolveResult]) -> EventType:
-    if res_a is None or res_b is None:
-        return EventType.VALIDITY
+def _classify_split(P: Polygon, res_a: SolveResult,
+                    res_b: SolveResult) -> EventType:
     sa = structure_signature(res_a)
     sb = structure_signature(res_b)
     ga, gb = sa[2], sb[2]
@@ -315,38 +327,19 @@ def _classify_split(P: Polygon, res_a: Optional[SolveResult],
     return EventType.BENDING
 
 
-def _bisect_change(P: Polygon, a: float, res_a: SolveResult, b: float,
-                   res_b: SolveResult, tol: float) -> Tuple[float, EventType]:
-    sig_a = structure_signature(res_a)
-    lo, hi = a, b
-    res_lo, res_hi = res_a, res_b
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break  # lo and hi are adjacent floats; tol is below their spacing
-        r = _solve_robust(P, mid)
-        if r is None:
-            break
-        if structure_signature(r) == sig_a:
-            lo, res_lo = mid, r
-        else:
-            hi, res_hi = mid, r
-    return 0.5 * (lo + hi), _classify_split(P, res_lo, res_hi)
-
-
-def _refine_minimum(P: Polygon, a: float, b: float, x0: float,
-                    res0: SolveResult, tol: float,
+def _refine_minimum(P: Polygon, a: float, b: float, start: _Frozen,
+                    tol: float,
                     notes: List[str]) -> Optional[Tuple[float, float]]:
     """Golden-section minimum over (a, b) on the structures frozen in it.
 
-    The search starts with the structure frozen from the solve res0 at
-    x0 and evaluates each angle as ``_Structures.at`` does; an angle
-    solved in full is noted with the certificate that refused it.  The
-    returned length comes from a full solve at the argmin.
+    The search starts with the structure start and evaluates each angle
+    as ``_Structures.at`` does; an angle solved in full is noted with
+    the certificate that refused it.  The returned length comes from a
+    full solve at the argmin.
     """
     gr = (math.sqrt(5.0) - 1.0) / 2.0
     bracket = f"bracket ({a:.6f}, {b:.6f}) deg"
-    known = _Structures(P, [_frozen_at(P, x0, res0)])
+    known = _Structures(P, [start])
 
     def f(x: float) -> float:
         hit = known.at(x)
@@ -379,16 +372,16 @@ def _refine_minimum(P: Polygon, a: float, b: float, x0: float,
     return (x, r.tour.length)
 
 
-def _locate_change(P: Polygon, known: _Structures, a: float, fa: _Frozen,
+def _bisect_change(P: Polygon, known: _Structures, a: float, fa: _Frozen,
                    b: float, fb: _Frozen,
                    tol: float) -> Tuple[float, EventType, Tuple[int, ...]]:
-    """``_bisect_change`` on certified structures instead of solves.
+    """Narrow a structure change between a and b down to an event.
 
-    Takes the same midpoints and compares the same signatures, read off
-    the structure that holds at each midpoint.  The event's type and
-    witness come from the certificate the lower structure fails at the
-    upper end; a certificate that names no type leaves it to the
-    signatures on either side.
+    Each midpoint is read as ``known.at`` reads it, and its signature
+    decides which half keeps the change.  The event's type and witness
+    come from the certificate the lower structure fails at the upper
+    end; a certificate that names no type leaves it to the signatures on
+    either side.
     """
     lo, hi = a, b
     f_lo, f_hi = fa, fb
@@ -418,15 +411,16 @@ def _scan_interval(P: Polygon, lo: float, hi: float, cfg: SweepConfig,
                    known: Optional[_Structures] = None) -> None:
     """Sample one event-free interval on certified frozen structures.
 
-    Each sample is evaluated as ``_Structures.at`` does, on the
-    structures handed down from the scan that split this interval off;
-    the first sample with none of them holding is solved in full.  Two
+    Each sample is evaluated as ``known.at`` does, on the structures
+    handed down from the scan that split this interval off; the first
+    sample with none of them holding is solved in full.  Two
     neighbouring samples whose signatures differ, or whose lengths jump,
-    are narrowed by ``_locate_change`` to a detected event, and both
+    are narrowed by ``_bisect_change`` to a detected event, and both
     sides are scanned again with the same structures.  A clean interval
     ends with an audit solve at its last sample, unless that sample was
     solved in full already; a signature or length other than the frozen
-    one there sends the interval to ``_scan_by_solves``.
+    one there has the interval scanned again on ``_Solves``, which
+    solves every angle in full and is audited no further.
     """
     width = hi - lo
     if width <= max(cfg.refine_tol_deg, 10 * ANGLE_MERGE_DEG) or depth > 6:
@@ -454,7 +448,7 @@ def _scan_interval(P: Polygon, lo: float, hi: float, cfg: SweepConfig,
 
     for (x, f, L), (y, g, M) in zip(pts, pts[1:]):
         if f.sig != g.sig or abs(M - L) > jump_cap:
-            ang, etype, witness = _locate_change(P, known, x, f, y, g,
+            ang, etype, witness = _bisect_change(P, known, x, f, y, g,
                                                  cfg.refine_tol_deg)
             state.detected.append(Event(Angle(ang), etype, witness))
             _scan_interval(P, lo, ang, cfg, depth + 1, state, known)
@@ -462,7 +456,7 @@ def _scan_interval(P: Polygon, lo: float, hi: float, cfg: SweepConfig,
             return
 
     x, f, L = pts[-1]
-    if f.x != x:
+    if f.x != x and not isinstance(known, _Solves):
         audit = _solve_robust(P, x)
         if audit is None:
             why = "is unsolvable"
@@ -477,50 +471,22 @@ def _scan_interval(P: Polygon, lo: float, hi: float, cfg: SweepConfig,
             state.notes.append(
                 f"interval ({lo:.6f},{hi:.6f}): the audit solve at "
                 f"{x:.6f} deg {why}; changes located by full solves")
-            _scan_by_solves(P, lo, hi, xs, cfg, depth, state)
+            _scan_interval(P, lo, hi, cfg, depth, state, _Solves(P))
             return
-    _record_clean(lo, hi, delta, [(x, L, f.x, f.res) for x, f, L in pts],
-                  state)
-
-
-def _scan_by_solves(P: Polygon, lo: float, hi: float, xs: Sequence[float],
-                    cfg: SweepConfig, depth: int, state: _ScanState) -> None:
-    """Solve every sample in full where the frozen scan cannot settle.
-
-    The first two neighbouring samples whose signatures differ, or
-    whose lengths jump, are narrowed by ``_bisect_change`` to a detected
-    event and both sides are scanned afresh.
-    """
-    pts = [(x, r) for x, r in ((x, _solve_robust(P, x)) for x in xs)
-           if r is not None]
-    jump_cap = cfg.jump_threshold * (1.0 + P.diameter)
-    for (x, r), (y, q) in zip(pts, pts[1:]):
-        if (structure_signature(r) != structure_signature(q)
-                or abs(q.tour.length - r.tour.length) > jump_cap):
-            ang, etype = _bisect_change(P, x, r, y, q, cfg.refine_tol_deg)
-            state.detected.append(Event(Angle(ang), etype))
-            _scan_interval(P, lo, ang, cfg, depth + 1, state)
-            _scan_interval(P, ang, hi, cfg, depth + 1, state)
-            return
-    delta = min(1e-4, (hi - lo) / 100.0)
-    _record_clean(lo, hi, delta, [(x, r.tour.length, x, r) for x, r in pts],
-                  state)
+    _record_clean(lo, hi, delta, pts, state)
 
 
 def _record_clean(lo: float, hi: float, delta: float,
-                  pts: Sequence[Tuple[float, float, float, SolveResult]],
+                  pts: Sequence[Tuple[float, _Frozen, float]],
                   state: _ScanState) -> None:
     """Keep a clean interval's samples, and its flat or its minima.
 
-    Each sample is (angle, length, freeze angle, solve frozen there);
-    every local minimum becomes a bracket between its neighbours.
+    Each sample is (angle, structure read there, length); every local
+    minimum becomes a bracket between its neighbours.
     """
     state.intervals.append((lo, hi))
-    if not pts:
-        state.notes.append(f"interval ({lo:.6f},{hi:.6f}) unsolvable")
-        return
-    state.samples.extend((normalize_deg(x), L) for x, L, _, _ in pts)
-    lens = [L for _, L, _, _ in pts]
+    state.samples.extend((normalize_deg(x), L) for x, _, L in pts)
+    lens = [L for _, _, L in pts]
     if all(L <= 1e-12 for L in lens):
         state.flats.append((hi - lo, normalize_deg(0.5 * (lo + hi))))
         state.candidates.append((0.5 * (lo + hi), 0.0))
@@ -536,7 +502,7 @@ def _record_clean(lo: float, hi: float, delta: float,
     for _, i in minima[:16]:
         a = pts[i - 1][0] if i > 0 else lo + delta
         b = pts[i + 1][0] if i + 1 < len(pts) else hi - delta
-        state.brackets.append((a, b) + pts[i][2:])
+        state.brackets.append((a, b, pts[i][1]))
 
 
 def _check_config(cfg: SweepConfig) -> None:
@@ -570,8 +536,8 @@ def _sweep(P: Polygon, spans: Sequence[Tuple[float, float]],
     if state.flats:
         _, mid = max(state.flats)
         return state, mid, 0.0
-    for a, b, x0, res0 in state.brackets:
-        refined = _refine_minimum(P, a, b, x0, res0, cfg.refine_tol_deg,
+    for a, b, start in state.brackets:
+        refined = _refine_minimum(P, a, b, start, cfg.refine_tol_deg,
                                   state.notes)
         if refined is not None:
             state.candidates.append(refined)

@@ -145,8 +145,8 @@ def _reference_sweep(P, cfg):
     if state.flats:
         return state, 0.0
     for a, b, x0, res0 in state.brackets:
-        got = rotor._refine_minimum(P, a, b, x0, res0, cfg.refine_tol_deg,
-                                    [])
+        got = rotor._refine_minimum(P, a, b, rotor._frozen_at(P, x0, res0),
+                                    cfg.refine_tol_deg, [])
         if got is not None:
             state.candidates.append(got)
     return state, min(L for _, L in state.candidates)
@@ -336,8 +336,9 @@ def test_frozen_refine_falls_back_past_an_event():
     # past the second, which is solved in full too
     P = spiral_corridor(1)
     notes = []
-    x, length = rotor._refine_minimum(P, 12.5, 13.3, 12.6,
-                                      solve_theta(P, Angle(12.6)), 1e-6, notes)
+    x, length = rotor._refine_minimum(
+        P, 12.5, 13.3, rotor._frozen_at(P, 12.6, solve_theta(P, Angle(12.6))),
+        1e-6, notes)
     assert len(notes) == 2
     assert all("bracket (12.500000, 13.300000) deg" in n for n in notes)
     assert "press certificate of vertex 14" in notes[0]
@@ -359,10 +360,37 @@ def test_frozen_refine_keeps_every_frozen_structure(monkeypatch):
 
     monkeypatch.setattr(rotor, "solve_theta", counting_solve)
     notes = []
-    got = rotor._refine_minimum(P, 13.5, 14.5, 14.0, res0, 1e-6, notes)
+    got = rotor._refine_minimum(P, 13.5, 14.5, rotor._frozen_at(P, 14.0, res0),
+                                1e-6, notes)
     assert got == (14.145406184300118, 55.85066105419104)
     assert len(solved) <= 2
     assert len(notes) == len(solved) - 1
+
+
+def test_scan_freezes_each_solve_once(monkeypatch):
+    # each bracket carries the structure its sample was read on, so the
+    # refinement starts from it instead of freezing that solve again
+    frozen = []
+    freeze = rotor.freeze_structure
+
+    def recording(P, res):
+        frozen.append(res)
+        return freeze(P, res)
+
+    monkeypatch.setattr(rotor, "freeze_structure", recording)
+    rep = optimize(spiral_corridor(1))
+    assert rep.best_length == pytest.approx(SPIRAL_BEST[1], rel=1e-9)
+    assert frozen
+    assert len({id(res) for res in frozen}) == len(frozen)
+
+
+def test_bisection_runs_once_per_hidden_event(double, monkeypatch):
+    calls = _counting(monkeypatch, "_bisect_change")
+    rep = optimize(double)
+    hidden = sorted(round(e.angle_deg, 4) for e in rep.events
+                    if e.type in (EventType.BENDING, EventType.CUDDLE))
+    assert hidden == [165.9637, 165.9665]
+    assert calls[0] == len(hidden)
 
 
 def test_minimize_interval_flat(square, double):
@@ -481,9 +509,9 @@ def test_refine_falls_back_at_a_hidden_bending():
     # reaches that vertex at the Bending near 102.8788; the refine solves
     # there and keeps the argmin and length the full-solve scan found
     notes = []
-    x, length = rotor._refine_minimum(P, 102.8, 102.95, 102.9,
-                                      solve_theta(P, Angle(102.9)), 1e-6,
-                                      notes)
+    x, length = rotor._refine_minimum(
+        P, 102.8, 102.95,
+        rotor._frozen_at(P, 102.9, solve_theta(P, Angle(102.9))), 1e-6, notes)
     assert len(notes) == 1
     assert "bracket (102.800000, 102.950000) deg" in notes[0]
     assert "inside certificate of vertex 13" in notes[0]
@@ -493,9 +521,9 @@ def test_refine_falls_back_at_a_hidden_bending():
     # near 12.7159 and gets shorter past it; extrapolating the frozen
     # structure read a constant 55.856937 there instead
     notes = []
-    x, length = rotor._refine_minimum(P, 12.6, 12.8, 12.65,
-                                      solve_theta(P, Angle(12.65)), 1e-6,
-                                      notes)
+    x, length = rotor._refine_minimum(
+        P, 12.6, 12.8,
+        rotor._frozen_at(P, 12.65, solve_theta(P, Angle(12.65))), 1e-6, notes)
     assert len(notes) == 1
     assert "press certificate of vertex 14" in notes[0]
     grid = min(solve_theta(P, Angle(12.6 + 0.2 * k / 40)).tour.length
