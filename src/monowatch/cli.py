@@ -76,6 +76,19 @@ def _read_json(path: str):
         raise _InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
 
 
+def _read_points(path: str, raw: list, what: str) -> List[Point]:
+    pts: List[Point] = []
+    for i, item in enumerate(raw):
+        try:
+            x, y = float(item[0]), float(item[1])
+        except (TypeError, ValueError, IndexError):
+            raise _InputError(f"{path}: {what} {i} is not an [x, y] pair")
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise _InputError(f"{path}: {what} {i} is not finite")
+        pts.append(Point(x, y))
+    return pts
+
+
 def load_polygon(path: str) -> Tuple[Polygon, Optional[str]]:
     doc = _read_json(path)
     if isinstance(doc, list):
@@ -89,15 +102,7 @@ def load_polygon(path: str) -> Tuple[Polygon, Optional[str]]:
     if not isinstance(raw, list) or len(raw) < 3:
         raise _InputError(f"{path}: vertices must be a list of 3+ [x, y] "
                           "pairs")
-    pts: List[Point] = []
-    for i, item in enumerate(raw):
-        try:
-            x, y = float(item[0]), float(item[1])
-        except (TypeError, ValueError, IndexError):
-            raise _InputError(f"{path}: vertex {i} is not an [x, y] pair")
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise _InputError(f"{path}: vertex {i} is not finite")
-        pts.append(Point(x, y))
+    pts = _read_points(path, raw, "vertex")
     if ring_area(pts) < 0.0:
         print(f"warning: {path}: vertices are clockwise, reversing",
               file=sys.stderr)
@@ -120,13 +125,7 @@ def load_tour(path: str) -> List[Point]:
             raise _InputError(f"{path}: no tour/cycle/points list found")
     if not isinstance(raw, list) or not raw:
         raise _InputError(f"{path}: tour must be a non-empty point list")
-    pts: List[Point] = []
-    for i, item in enumerate(raw):
-        try:
-            pts.append(Point(float(item[0]), float(item[1])))
-        except (TypeError, ValueError, IndexError):
-            raise _InputError(f"{path}: tour point {i} is not an [x, y] pair")
-    return pts
+    return _read_points(path, raw, "tour point")
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +387,8 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     P, _ = load_polygon(args.polygon)
-    if args.step_deg <= 0:
-        raise _InputError("--step-deg must be positive")
+    if not 0.0 < args.step_deg < math.inf:
+        raise _InputError("--step-deg must be finite and positive")
     rows = dense_sweep(P, args.step_deg)
     _write_csv(args.csv, rows)
     return EXIT_OK

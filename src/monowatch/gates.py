@@ -5,15 +5,16 @@ cuts at the same angle.  Touring every gate chord is enough to see the
 whole polygon, so the solver only keeps the part of the polygon on the
 non-left side of each gate.
 
-All cuts at one angle are parallel chords that never cross, so left
-regions are compared through their boundary arcs (``boundary_arc``),
-by positions along the boundary, without building the regions.
+Cuts at one angle are parallel chords that never cross, so a left
+region is known by its boundary arc (``boundary_arc``): gates are
+compared, and the polygon reduced, by positions along the boundary.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 from .geom import (
     TAU_ONEDGE,
@@ -24,7 +25,6 @@ from .geom import (
     Polygon,
     Segment,
     ring_area,
-    split_ring,
 )
 from .cuts import CutColor, CutKind, ThetaCut
 
@@ -174,18 +174,18 @@ class ReducedPolygon:
     """Polygon with every gate's left region cut away.
 
     ``essential`` lists, per gate, the boundary edge index of ``polygon``
-    that coincides with the gate chord.  ``source`` keeps the original
-    polygon.  ``origins`` says what each vertex of ``polygon`` is: the
-    index of the source vertex it is, or the gate whose chord's far end
-    it is.
+    that coincides with the gate chord, in ring order.  ``source`` keeps
+    the original polygon.  ``origins`` says what each vertex of
+    ``polygon`` is: the index of the source vertex it is, or the gate
+    whose chord's far end it is.
     """
 
     polygon: Polygon
     essential: Tuple[Tuple[int, Gate], ...]
     theta: Angle
     source: Polygon
-    removed_area: float = 0.0
-    origins: Tuple[Union[int, Gate], ...] = ()
+    removed_area: float
+    origins: Tuple[Union[int, Gate], ...]
 
 
 def _removal_side(arc: Tuple[float, float],
@@ -198,31 +198,66 @@ def _removal_side(arc: Tuple[float, float],
                         "not well defined at this angle")
 
 
-def reduce_polygon(P: Polygon, gates: Sequence[Gate],
-                   theta: Optional[Angle] = None) -> ReducedPolygon:
-    """Remove every gate's left region from P.
+def _chord_end(P: Polygon, q: Point, key: float, gates: Sequence[Gate]):
+    """(key, point, origin) of a chord end on the walk.  Within
+    TAU_ONEDGE of a polygon vertex it takes that vertex's key and place;
+    its origin is the vertex it equals, else the first gate whose far
+    end it is."""
+    for j in (int(key) % P.n, (int(key) + 1) % P.n):
+        dx, dy = q[0] - P.vertices[j][0], q[1] - P.vertices[j][1]
+        if dx * dx + dy * dy <= TAU_ONEDGE * TAU_ONEDGE:
+            key = float(j)
+            if q == P.vertices[j]:
+                return key, q, j
+            break
+    return key, q, next(g for g in gates if g.cut.far_point == q)
 
-    The removed regions are pairwise disjoint for a consistent gate set;
-    an area bookkeeping check guards that assumption.  With no gates the
-    polygon is returned unchanged.
+
+def _run(P: Polygon, a: tuple, b: tuple) -> list:
+    """(point, origin) from chord end a to chord end b, with the polygon
+    vertices strictly between them on the counterclockwise boundary."""
+    stop = b[0] if b[0] >= a[0] else b[0] + P.n
+    inner = (i % P.n for i in range(int(a[0]) + 1, math.ceil(stop)))
+    return [a[1:], *((P.vertices[i], i) for i in inner), b[1:]]
+
+
+def reduce_polygon(P: Polygon, gates: Sequence[Gate],
+                   theta: Angle) -> ReducedPolygon:
+    """Remove every gate's left region from P in one boundary walk.
+
+    Each gate removes a stretch of the boundary keyed as in
+    ``boundary_arc``: its arc, or the complement when another gate lies
+    in the arc.  The walk runs counterclockwise from the far end of the
+    last gate's stretch, skips each stretch's inner vertices and emits
+    its chord ends, so chords and origins are known by construction.
+    The removed regions are disjoint for a consistent gate set, which an
+    area bookkeeping check guards.
     """
-    gates = list(gates)
-    if theta is None:
-        theta = gates[0].cut.theta if gates else Angle(0.0)
     if not gates:
         return ReducedPolygon(P, (), theta, P, 0.0, tuple(range(P.n)))
-
     arcs = [boundary_arc(P, g.cut) for g in gates]
-    removed_total = 0.0
-    current = tuple(P.vertices)
+    stretches, removed_total = [], 0.0
     for gi, g in enumerate(gates):
-        left, right = split_ring(current, g.chord.a, g.chord.b)
-        side = _removal_side(arcs[gi], arcs[:gi] + arcs[gi + 1:], P.n)
-        removal, kept = (left, right) if side == "left" else (right, left)
-        removed_total += abs(ring_area(removal))
-        current = kept
+        ends = [_chord_end(P, q, k, gates)  # the arc runs from b to a
+                for q, k in zip(g.chord[::-1], arcs[gi])]
+        if _removal_side(arcs[gi], arcs[:gi] + arcs[gi + 1:], P.n) == "right":
+            ends.reverse()
+        removed_total += abs(ring_area([q for q, _ in _run(P, *ends)]))
+        stretches.append((*ends, g))
+    before = stretches[-1][1]
+    walk = sorted(stretches[:-1], key=lambda st: (st[0][0] - before[0]) % P.n)
+    pts, origins, essential = [], [], []
+    for start, end, g in walk + stretches[-1:]:
+        for q, origin in _run(P, before, start):
+            # a point within TAU_ONEDGE of the one before collapses into it
+            if not pts or ((pts[-1][0] - q[0]) ** 2 + (pts[-1][1] - q[1]) ** 2
+                           > TAU_ONEDGE * TAU_ONEDGE):
+                pts.append(q)
+                origins.append(origin)
+        essential.append((len(pts) - 1, g))
+        before = end
 
-    reduced = Polygon.raw(current)
+    reduced = Polygon.raw(pts)
     if reduced.area <= TAU_ONEDGE:
         raise GeometryError("reduction removed the entire polygon")
     budget = AREA_CHECK_REL * max(1.0, P.area)
@@ -230,33 +265,5 @@ def reduce_polygon(P: Polygon, gates: Sequence[Gate],
         raise GeometryError(
             "removed gate regions overlap; area bookkeeping failed "
             f"({P.area:.9f} != {reduced.area:.9f} + {removed_total:.9f})")
-
-    # split_ring copies every ring point and chord end exactly, so each
-    # reduced vertex is found by value; a chord end it merged into a
-    # vertex within TAU_ONEDGE is that vertex
-    index = {p: i for i, p in enumerate(reduced.vertices)}
-    m = reduced.n
-    essential = []
-    for g in gates:
-        i, j = (index[q] if q in index else reduced.find_vertex(q)
-                for q in g.chord)
-        if i is not None and j == (i + 1) % m:
-            essential.append((i, g))
-        elif j is not None and i == (j + 1) % m:
-            essential.append((j, g))
-        else:
-            raise GeometryError(
-                f"gate chord {g.describe()} is not an edge of the reduced "
-                "polygon")
-    essential.sort(key=lambda pair: pair[0])
-    where: Dict[Point, Union[int, Gate]] = {}
-    for g in gates:
-        where.setdefault(g.cut.far_point, g)
-    where.update((p, i) for i, p in enumerate(P.vertices))
-    try:
-        origins = tuple(where[p] for p in reduced.vertices)
-    except KeyError as exc:
-        raise GeometryError(f"reduced vertex {tuple(exc.args[0])} is neither "
-                            "a polygon vertex nor a gate chord end") from None
     return ReducedPolygon(reduced, tuple(essential), theta, P, removed_total,
-                          origins)
+                          tuple(origins))

@@ -247,7 +247,7 @@ def t_reflection(mirror: Segment) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# rings (bare CCW vertex tuples, used for split regions and reduced polygons)
+# rings (bare CCW vertex tuples; split_ring builds the oracle's left regions)
 
 def ring_area(ring: Sequence[Point]) -> float:
     s = 0.0

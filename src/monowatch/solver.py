@@ -125,10 +125,6 @@ def _common_tour_point(P: Polygon,
     return None
 
 
-def _essential_ring_order(rp: ReducedPolygon) -> List[Tuple[int, Gate]]:
-    return sorted(rp.essential, key=lambda pair: pair[0])
-
-
 def _arc_interior(rp: ReducedPolygon, e_from: int, e_to: int) -> List[int]:
     m = rp.polygon.n
     gap = (e_to - (e_from + 1)) % m
@@ -138,14 +134,11 @@ def _arc_interior(rp: ReducedPolygon, e_from: int, e_to: int) -> List[int]:
 def _same_color_picks(rp: ReducedPolygon) -> List[int]:
     """Per boundary arc between same-colored adjacent gates, the reflex
     vertex of the source polygon farthest to the cut's left side."""
-    ess = _essential_ring_order(rp)
-    k = len(ess)
+    ess = rp.essential
     poly = rp.polygon
     reflex = set(rp.source.reflex_indices)
     picks: List[int] = []
-    for i in range(k):
-        ei, gi = ess[i]
-        ej, gj = ess[(i + 1) % k]
+    for (ei, gi), (ej, gj) in zip(ess, ess[1:] + ess[:1]):
         if gi.cut.color is not gj.cut.color:
             continue
         interior = _arc_interior(rp, ei, ej)

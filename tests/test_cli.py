@@ -119,6 +119,8 @@ def test_exit_one_on_bad_inputs(tmp_path, capsys):
     bad_json.write_text("{not json")
     bowtie = _write_polygon(
         tmp_path, [[0, 0], [2, 2], [2, 0], [0, 2]], name="bowtie.json")
+    nan_tour = tmp_path / "nan_tour.json"
+    nan_tour.write_text(json.dumps([[1, 1], [math.nan, 2]]))
     cases = [
         ["solve", "--polygon", str(tmp_path / "missing.json"),
          "--theta-deg", "10"],
@@ -127,11 +129,22 @@ def test_exit_one_on_bad_inputs(tmp_path, capsys):
         ["solve", "--polygon", good, "--theta-deg", "180"],
         ["solve", "--polygon", good, "--theta-deg", "-5"],
         ["sweep", "--polygon", good, "--step-deg", "0"],
+        ["verify", "--polygon", good, "--theta-deg", "10",
+         "--tour", str(nan_tour)],
     ]
     for argv in cases:
         rc, out, err = _run(capsys, argv)
         assert rc == 1, argv
         assert "error" in err, argv
+
+
+@pytest.mark.parametrize("step", ["nan", "inf", "0"])
+def test_sweep_step_must_be_finite_and_positive(tmp_path, capsys, step):
+    poly = _write_polygon(tmp_path, SQUARE_PTS)
+    rc, _, err = _run(capsys, ["sweep", "--polygon", poly,
+                               "--step-deg", step])
+    assert rc == 1
+    assert "--step-deg" in err
 
 
 @pytest.mark.parametrize("doc", [

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from typing import Sequence
+from itertools import permutations
+from typing import Dict, Optional, Sequence, Union
 
 from monowatch import (
     Angle,
@@ -17,10 +18,33 @@ from monowatch import (
     solve_theta,
 )
 from monowatch.cuts import ThetaCut
-from monowatch.gates import _refuse_collinear_same_color
-from monowatch.geom import TAU_ONEDGE, ring_area, ring_contains
+from monowatch.gates import (
+    AREA_CHECK_REL,
+    Gate,
+    ReducedPolygon,
+    _refuse_collinear_same_color,
+    _removal_side,
+    boundary_arc,
+)
+from monowatch.geom import (
+    TAU_ONEDGE,
+    GeometryError,
+    Point,
+    Polygon,
+    ring_area,
+    ring_contains,
+    split_ring,
+)
 
-from conftest import comb, corpus_polygon, mixed_corpus, spiral_corridor
+from conftest import (
+    DOUBLE_PTS,
+    UNOTCH_PTS,
+    comb,
+    corpus_polygon,
+    make_polygon,
+    mixed_corpus,
+    spiral_corridor,
+)
 
 
 def _cut(cuts, vertex, kind):
@@ -261,3 +285,137 @@ def test_collinear_check_matches_pairwise_reference(toothgap):
                 compared += 1
                 refused += want is not None
     assert compared > 10000 and refused > 0
+
+
+def _reference_reduce_polygon(P: Polygon, gates: Sequence[Gate],
+                              theta: Optional[Angle] = None) -> ReducedPolygon:
+    """Remove every gate's left region from P.
+
+    The removed regions are pairwise disjoint for a consistent gate set;
+    an area bookkeeping check guards that assumption.  With no gates the
+    polygon is returned unchanged.
+    """
+    gates = list(gates)
+    if theta is None:
+        theta = gates[0].cut.theta if gates else Angle(0.0)
+    if not gates:
+        return ReducedPolygon(P, (), theta, P, 0.0, tuple(range(P.n)))
+
+    arcs = [boundary_arc(P, g.cut) for g in gates]
+    removed_total = 0.0
+    current = tuple(P.vertices)
+    for gi, g in enumerate(gates):
+        left, right = split_ring(current, g.chord.a, g.chord.b)
+        side = _removal_side(arcs[gi], arcs[:gi] + arcs[gi + 1:], P.n)
+        removal, kept = (left, right) if side == "left" else (right, left)
+        removed_total += abs(ring_area(removal))
+        current = kept
+
+    reduced = Polygon.raw(current)
+    if reduced.area <= TAU_ONEDGE:
+        raise GeometryError("reduction removed the entire polygon")
+    budget = AREA_CHECK_REL * max(1.0, P.area)
+    if abs(P.area - reduced.area - removed_total) > budget:
+        raise GeometryError(
+            "removed gate regions overlap; area bookkeeping failed "
+            f"({P.area:.9f} != {reduced.area:.9f} + {removed_total:.9f})")
+
+    # split_ring copies every ring point and chord end exactly, so each
+    # reduced vertex is found by value; a chord end it merged into a
+    # vertex within TAU_ONEDGE is that vertex
+    index = {p: i for i, p in enumerate(reduced.vertices)}
+    m = reduced.n
+    essential = []
+    for g in gates:
+        i, j = (index[q] if q in index else reduced.find_vertex(q)
+                for q in g.chord)
+        if i is not None and j == (i + 1) % m:
+            essential.append((i, g))
+        elif j is not None and i == (j + 1) % m:
+            essential.append((j, g))
+        else:
+            raise GeometryError(
+                f"gate chord {g.describe()} is not an edge of the reduced "
+                "polygon")
+    essential.sort(key=lambda pair: pair[0])
+    where: Dict[Point, Union[int, Gate]] = {}
+    for g in gates:
+        where.setdefault(g.cut.far_point, g)
+    where.update((p, i) for i, p in enumerate(P.vertices))
+    try:
+        origins = tuple(where[p] for p in reduced.vertices)
+    except KeyError as exc:
+        raise GeometryError(f"reduced vertex {tuple(exc.args[0])} is neither "
+                            "a polygon vertex nor a gate chord end") from None
+    return ReducedPolygon(reduced, tuple(essential), theta, P, removed_total,
+                          origins)
+
+
+def _reduction(fn, P, gates, theta):
+    try:
+        rp = fn(P, gates, theta)
+    except GeometryError as exc:
+        return ("refused", str(exc))
+    return (repr(rp.polygon.vertices), rp.essential, rp.origins,
+            rp.removed_area)
+
+
+def test_reduce_matches_split_reference_on_corpus(corpus_solves):
+    """The boundary walk builds the same reduced polygon, essential
+    edges, origins and removed area as one ring split per gate."""
+    compared = 0
+    for P, th, res in corpus_solves:
+        if res.reduced is None:
+            continue
+        assert (_reduction(reduce_polygon, P, res.gates, res.theta)
+                == _reduction(_reference_reduce_polygon, P, res.gates,
+                              res.theta)), (P, th)
+        compared += 1
+    assert compared >= 900
+
+
+def test_reduce_matches_split_reference_near_events(toothgap):
+    """Same, on solves 1e-9 and 1e-7 degrees off every candidate event,
+    where chord ends come within TAU_ONEDGE of vertices."""
+    polys = list(mixed_corpus(40)) + [comb(k) for k in (2, 8, 16)]
+    polys += [spiral_corridor(seed) for seed in range(8)] + [toothgap]
+    compared = 0
+    for P in polys:
+        for e in enumerate_candidate_events(P):
+            for d in (-1e-9, 1e-9, -1e-7, 1e-7):
+                try:
+                    res = solve_theta(P, Angle(e.angle_deg + d))
+                except GeometryError:
+                    continue
+                if res.reduced is None:
+                    continue
+                assert (_reduction(reduce_polygon, P, res.gates, res.theta)
+                        == _reduction(_reference_reduce_polygon, P,
+                                      res.gates, res.theta)), (P, e, d)
+                compared += 1
+    assert compared >= 1700
+
+
+def test_reduce_matches_split_reference_on_hand_picked_cuts():
+    """Every ordered list of one to three cuts of two small polygons,
+    taken as gates: both versions agree, refusals included, and some
+    lists remove a gate's complement (the "right" side), as facing cuts
+    whose left regions cover P together do."""
+    compared = right = 0
+    for pts in (DOUBLE_PTS, UNOTCH_PTS):
+        P = make_polygon(pts)
+        for th in (0.0, 10.0, 45.0, 130.0):
+            cuts = compute_cuts(P, Angle(th))
+            for r in (1, 2, 3):
+                for picked in permutations(cuts, r):
+                    gates = [Gate(c) for c in picked]
+                    got = _reduction(reduce_polygon, P, gates, Angle(th))
+                    assert got == _reduction(_reference_reduce_polygon, P,
+                                             gates, Angle(th)), (pts, th)
+                    compared += 1
+                    arcs = [boundary_arc(P, c) for c in picked]
+                    if r == 2 and got[0] != "refused" and "right" in (
+                            _removal_side(arcs[0], arcs[1:], P.n),
+                            _removal_side(arcs[1], arcs[:1], P.n)):
+                        right += 1
+    assert compared > 100 and right > 0
