@@ -320,10 +320,18 @@ def _load_config(path: Optional[str]) -> SweepConfig:
     for key, val in doc.items():
         if key not in known:
             raise _InputError(f"{path}: unknown config key {key!r}")
+        # JSON numbers only: a bool is an int to Python, and a string or
+        # a fraction given for a count is refused rather than coerced
+        kind = known[key]
+        allowed = (int, float) if kind is float else int
+        if isinstance(val, bool) or not isinstance(val, allowed):
+            what = "an integer" if kind is int else "a number"
+            raise _InputError(f"{path}: config key {key!r} must be {what}, "
+                              f"got {json.dumps(val)}")
         try:
-            setattr(cfg, key, known[key](val))
-        except (TypeError, ValueError):
-            raise _InputError(f"{path}: config key {key!r} has a bad value")
+            setattr(cfg, key, kind(val))
+        except OverflowError:
+            raise _InputError(f"{path}: config key {key!r} is out of range")
     return cfg
 
 

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from .cuts import ThetaCut, VertexClass, _classify_direction, color_of_sides
 from .gates import Gate
@@ -113,6 +113,19 @@ class FrozenStructure:
     (anchor, certificate) pairs to check.  A point tour keeps one
     "gate" anchor per gate and, in ``common``, the gate its point lies
     on with the point's fraction of that chord.
+
+    Construction compiles each rival (the anchors alone when there are
+    no rivals) into a ``_Plan``, and evaluation runs only the plans.  A
+    plan holds every gate anchor as (vx, vy, ray_sign, ex, ey, wx, wy):
+    the chord's vertex, its sign along u, its frozen edge's direction
+    and the offset from the vertex to that edge's start, the same
+    differences ``_far_endpoint`` used to take, so every product is
+    unchanged.  It holds the pinned anchors, each with a stable point's
+    coordinates or a touch's gate; the runs of interior anchors between
+    consecutive pinned ones, with the gate vertices whose chord lines
+    they reflect off; and the watched checks in the order they are
+    reported: the inside checks by anchor, then each pinned anchor's
+    turn and press checks.
     """
 
     polygon: Polygon
@@ -127,6 +140,83 @@ class FrozenStructure:
     rivals: Tuple[Tuple[FrozenAnchor, ...], ...] = ()
     order: Tuple[Tuple[int, int], ...] = ()
     watched: Tuple[FrozenSet[Tuple[int, str]], ...] = ()
+    plans: Tuple["_Plan", ...] = field(init=False, repr=False,
+                                       compare=False)
+
+    def __post_init__(self) -> None:
+        watched = self.watched or (frozenset(),)
+        self.plans = tuple(_compile(anchors, watched[i]) for i, anchors
+                           in enumerate(self.rivals or (self.anchors,)))
+
+
+# A gate anchor compiled for evaluation: (vx, vy, ray_sign, ex, ey, wx, wy)
+_Gate = Tuple[float, float, float, float, float, float, float]
+
+
+class _Plan(NamedTuple):
+    """One frozen tour compiled at construction; see FrozenStructure.
+
+    Per anchor, ``index`` holds the polygon vertex a refusal names, and
+    ``gates`` the compiled gate, None for a stable anchor without one.
+    ``pinned`` holds (anchor, gate, x, y): a touch's gate, or None and a
+    stable anchor's coordinates.  ``runs`` holds (i, run, gate vertices,
+    j) from each pinned anchor i to the next, j.  ``inside`` holds the
+    watched inside checks as (anchor, gate); ``corners`` holds, per
+    pinned anchor with a watched turn or press check, (anchor, its
+    position in ``pinned``, wedge, gate, touch), with the wedge or the
+    gate None where that check is not watched.
+    """
+
+    index: Tuple[Optional[int], ...]
+    gates: Tuple[Optional[_Gate], ...]
+    pinned: Tuple[Tuple[int, Optional[_Gate], float, float], ...]
+    runs: Tuple[Tuple[int, Tuple[int, ...],
+                      Tuple[Tuple[float, float], ...], int], ...]
+    inside: Tuple[Tuple[int, _Gate], ...]
+    corners: Tuple[Tuple[int, int, Optional[Tuple[float, float]],
+                         Optional[_Gate], bool], ...]
+
+
+def _compile_gate(a: FrozenAnchor) -> Optional[_Gate]:
+    v = a.gate_vertex
+    if v is None:
+        return None
+    e = a.gate_edge
+    return (v.x, v.y, a.ray_sign, e.b.x - e.a.x, e.b.y - e.a.y,
+            e.a.x - v.x, e.a.y - v.y)
+
+
+def _compile(anchors: Sequence[FrozenAnchor],
+             watch: Optional[FrozenSet[Tuple[int, str]]]) -> _Plan:
+    """A frozen tour's plan, with the checks in watch, or all if None."""
+    m = len(anchors)
+    gates = tuple(_compile_gate(a) for a in anchors)
+    pinned = [k for k, a in enumerate(anchors) if a.kind != "interior"]
+    runs = []
+    for pi, i in enumerate(pinned):
+        j = pinned[(pi + 1) % len(pinned)]
+        run = tuple((i + d) % m for d in range(1, (j - i) % m or m))
+        runs.append((i, run, tuple(gates[q][:2] for q in run), j))
+
+    def watched(k: int, name: str) -> bool:
+        return watch is None or (k, name) in watch
+
+    corners = []
+    for pi, k in enumerate(pinned if len(pinned) > 1 else ()):
+        a = anchors[k]
+        wedge = a.wedge if watched(k, "turn") else None
+        gate = gates[k] if watched(k, "press") else None
+        if wedge is not None or gate is not None:
+            corners.append((k, pi, wedge, gate, a.kind == "touch_far"))
+    return _Plan(
+        tuple(a.index for a in anchors), gates,
+        tuple((k, None, anchors[k].point.x, anchors[k].point.y)
+              if anchors[k].kind == "stable" else (k, gates[k], 0.0, 0.0)
+              for k in pinned),
+        tuple(runs),
+        tuple((k, gates[k]) for k, a in enumerate(anchors)
+              if a.kind == "interior" and watched(k, "inside")),
+        tuple(corners))
 
 
 def _reflex_colors(P: Polygon, u: Point):
@@ -244,8 +334,10 @@ def freeze_structure(P: Polygon, res: SolveResult) -> FrozenStructure:
     watched = []
     for anchors, pinned_at in zip(rivals, starts):
         held: FrozenSet[Tuple[int, str]] = frozenset()
-        if any(a.kind != "interior" for a in anchors):
-            _, _, _, checks = _tour_state(anchors, u.x, u.y, None)
+        plan = _compile(anchors, None)
+        if plan.pinned:
+            al, no, _ = _place(plan, u.x, u.y)
+            checks = list(_checks(plan, al, no, u.x, u.y))
             broken = {(k, name) for k, name, _, violated, _ in checks
                       if violated}
             held = frozenset((k, name) for k, name, _, _, _ in checks
@@ -281,20 +373,16 @@ def _freeze_point(P: Polygon, res: SolveResult, colors, walls):
                            tuple(anchors), colors, walls, common)
 
 
-def _far_endpoint(anchor: FrozenAnchor, ux: float, uy: float) -> Point:
+def _far_endpoint(gate: _Gate, ux: float,
+                  uy: float) -> Tuple[float, float]:
     """Where the frozen gate chord meets its frozen polygon edge."""
-    v = anchor.gate_vertex
-    e = anchor.gate_edge
-    dx = ux * anchor.ray_sign
-    dy = uy * anchor.ray_sign
-    ex = e.b.x - e.a.x
-    ey = e.b.y - e.a.y
+    vx, vy, sign, ex, ey, wx, wy = gate
+    dx = ux * sign
+    dy = uy * sign
     denom = dx * ey - dy * ex
     if abs(denom) <= TAU_ORIENT:
         raise StructureInfeasibleError("gate chord runs parallel to its "
                                        "frozen edge")
-    wx = e.a.x - v.x
-    wy = e.a.y - v.y
     t = (wx * ey - wy * ex) / denom
     s = (wx * dy - wy * dx) / denom
     if t <= TAU_ORIENT:
@@ -303,7 +391,7 @@ def _far_endpoint(anchor: FrozenAnchor, ux: float, uy: float) -> Point:
     if s < -1e-9 or s > 1.0 + 1e-9:
         raise StructureInfeasibleError("gate far endpoint slides off its "
                                        "frozen edge")
-    return Point(v.x + t * dx, v.y + t * dy)
+    return vx + t * dx, vy + t * dy
 
 
 def _unfold(a0: float, s0: float, lines: Sequence[float], a1: float,
@@ -389,22 +477,23 @@ def evaluate_close_tour(S: FrozenStructure, eps_deg: float) -> float:
     if S.kind == "point":
         _check_point(S, ux, uy)
         return 0.0
-    if all(a.kind == "interior" for a in S.anchors):
-        return _all_interior_length(S, Point(ux, uy))
+    plans = S.plans
+    if not plans[0].pinned:
+        return _all_interior_length(plans[0].gates, ux, uy)
 
     states = []
-    watched = S.watched or (frozenset(),)
-    for i, anchors in enumerate(S.rivals or (S.anchors,)):
-        al, no, length, failed = _tour_state(anchors, ux, uy, watched[i])
-        if failed:
-            k, name, etype, _, what = failed[0]
+    for i, plan in enumerate(plans):
+        al, no, length = _place(plan, ux, uy)
+        for k, name, etype, violated, what in _checks(plan, al, no, ux, uy):
+            if not violated:
+                continue
             if i == 0:
-                raise _certificate(name, anchors[k].index, what, etype)
-            raise _certificate("rival", anchors[0].index, f"the candidate "
+                raise _certificate(name, plan.index[k], what, etype)
+            raise _certificate("rival", plan.index[0], f"the candidate "
                                f"tour through it changes: {what}", None)
         states.append((length, al, no))
     _, al, no = states[0]
-    pts = [Point(a * ux - s * uy, a * uy + s * ux) for a, s in zip(al, no)]
+    pts = [(a * ux - s * uy, a * uy + s * ux) for a, s in zip(al, no)]
     m = len(pts)
     for k in range(m):
         wi = _caught_by(pts[k], pts[(k + 1) % m], S.walls)
@@ -419,7 +508,7 @@ def evaluate_close_tour(S: FrozenStructure, eps_deg: float) -> float:
             if best is None or beats(length, cyc, best[1], best[2]):
                 best = (ri, length, cyc)
         if best[0] != 0:
-            raise _certificate("rival", S.rivals[best[0]][0].index,
+            raise _certificate("rival", plans[best[0]].index[0],
                                "the candidate tour through it would be "
                                "chosen", None)
     return states[0][0]
@@ -444,89 +533,84 @@ class _Cycle:
             yield (a * self.ux - s * self.uy, a * self.uy + s * self.ux)
 
 
-def _tour_state(anchors: Sequence[FrozenAnchor], ux: float, uy: float,
-                watch: Optional[FrozenSet[Tuple[int, str]]]):
-    """A frozen tour at direction u, and the checks of its certificates.
+def _place(plan: _Plan, ux: float,
+           uy: float) -> Tuple[List[float], List[float], float]:
+    """A frozen tour at direction u: the coordinates of every tour vertex
+    along u and normal to it, and the length.
 
-    Needs at least one pinned (stable or touching) anchor.  Returns the
-    coordinates of every tour vertex along u and normal to it, the
-    length and the checks as (anchor, certificate, event type, violated,
-    message): every check when watch is None, else only the watched ones
-    that are violated.
+    Needs at least one pinned (stable or touching) anchor.
     """
-    m = len(anchors)
+    m = len(plan.gates)
     al: List[float] = [0.0] * m  # coordinate along u
     no: List[float] = [0.0] * m  # coordinate normal to u
-    lines: List[float] = [0.0] * m
-    pinned: List[int] = []
-    for k, a in enumerate(anchors):
-        if a.gate_vertex is not None:
-            v = a.gate_vertex
-            lines[k] = v.y * ux - v.x * uy
-        if a.kind != "interior":
-            p = a.point if a.kind == "stable" else _far_endpoint(a, ux, uy)
-            al[k] = p.x * ux + p.y * uy
-            no[k] = p.y * ux - p.x * uy
-            pinned.append(k)
-
-    # runs between consecutive pinned anchors: (i, interior run, j)
-    runs = []
+    for k, gate, x, y in plan.pinned:
+        if gate is not None:
+            x, y = _far_endpoint(gate, ux, uy)
+        al[k] = x * ux + y * uy
+        no[k] = y * ux - x * uy
     total = 0.0
-    for pi, i in enumerate(pinned):
-        j = pinned[(pi + 1) % len(pinned)]
-        run = [(i + d) % m for d in range(1, (j - i) % m or m)]
-        length, feet = _unfold(al[i], no[i], [lines[q] for q in run],
-                               al[j], no[j])
-        for q, foot in zip(run, feet):
-            al[q], no[q] = foot, lines[q]
-        runs.append((i, run, j))
+    for i, run, verts, j in plan.runs:
+        if not run:
+            total += math.hypot(al[j] - al[i], no[j] - no[i])
+            continue
+        lines = [vy * ux - vx * uy for vx, vy in verts]
+        length, feet = _unfold(al[i], no[i], lines, al[j], no[j])
+        for q, c, foot in zip(run, lines, feet):
+            al[q], no[q] = foot, c
         total += length
+    return al, no, total
 
-    checks = []
-    for k, a in enumerate(anchors):
-        if a.kind != "interior" or (watch is not None
-                                    and (k, "inside") not in watch):
-            continue
-        v = a.gate_vertex
-        av = v.x * ux + v.y * uy
-        t = (al[k] - av) * a.ray_sign
-        far = _far_endpoint(a, ux, uy)
-        t_far = (far.x * ux + far.y * uy - av) * a.ray_sign
-        checks.append((k, "inside", EventType.CUDDLE, t >= t_far - TAG_TOL,
+
+def _checks(plan: _Plan, al: Sequence[float], no: Sequence[float],
+            ux: float, uy: float):
+    """The plan's checks at direction u, in order, as (anchor,
+    certificate, event type, violated, message).
+
+    The inside checks are all built before the first is yielded, so
+    that every far end they need is found, and may refuse, before any
+    check is reported; the turn and press checks raise nothing and
+    follow one at a time.
+    """
+    inside = []
+    for k, gate in plan.inside:
+        vx, vy, sign = gate[0], gate[1], gate[2]
+        av = vx * ux + vy * uy
+        t = (al[k] - av) * sign
+        fx, fy = _far_endpoint(gate, ux, uy)
+        t_far = (fx * ux + fy * uy - av) * sign
+        inside.append((k, "inside", EventType.CUDDLE, t >= t_far - TAG_TOL,
                        "the moving vertex reaches the far end of its chord"))
-        checks.append((k, "inside", EventType.BENDING, t <= TAG_TOL,
+        inside.append((k, "inside", EventType.BENDING, t <= TAG_TOL,
                        "the moving vertex reaches its reflex vertex"))
-    for pi, k in enumerate(pinned if len(pinned) > 1 else ()):
-        a = anchors[k]
-        if a.wedge is not None and (watch is None or (k, "turn") in watch):
-            checks.append((k, "turn", EventType.BENDING,
-                           not _wraps(a.wedge, al, no, k, ux, uy),
-                           "the tour stops wrapping around the vertex"))
-        if a.gate_vertex is None or (watch is not None
-                                     and (k, "press") not in watch):
+    yield from inside
+    runs = plan.runs
+    for k, pi, wedge, gate, touch in plan.corners:
+        if wedge is not None:
+            yield (k, "turn", EventType.BENDING,
+                   not _wraps(wedge, al, no, k, ux, uy),
+                   "the tour stops wrapping around the vertex")
+        if gate is None:
             continue
-        # where the vertex would sit if released into its chord
-        i, left, _ = runs[pi - 1]
-        _, right, j = runs[pi]
+        # where the vertex would sit if released into its chord; an
+        # interior vertex's normal coordinate is its chord line
+        i, left, _, _ = runs[pi - 1]
+        _, right, _, j = runs[pi]
+        vx, vy, sign = gate[0], gate[1], gate[2]
         try:
             _, feet = _unfold(al[i], no[i],
-                              [lines[q] for q in left + [k] + right],
-                              al[j], no[j])
+                              [no[q] for q in left] + [vy * ux - vx * uy]
+                              + [no[q] for q in right], al[j], no[j])
         except StructureInfeasibleError:
             continue
-        av = a.gate_vertex.x * ux + a.gate_vertex.y * uy
-        t = (feet[len(left)] - av) * a.ray_sign
-        if a.kind == "touch_far":
-            checks.append((k, "press", EventType.CUDDLE,
-                           t < (al[k] - av) * a.ray_sign - TAG_TOL,
-                           "the far-end touch releases into its chord"))
+        av = vx * ux + vy * uy
+        t = (feet[len(left)] - av) * sign
+        if touch:
+            yield (k, "press", EventType.CUDDLE,
+                   t < (al[k] - av) * sign - TAG_TOL,
+                   "the far-end touch releases into its chord")
         else:
-            checks.append((k, "press", EventType.BENDING, t > TAG_TOL,
-                           "the tour releases the vertex into its gate "
-                           "chord"))
-    if watch is not None:
-        checks = [c for c in checks if c[3]]
-    return al, no, total, checks
+            yield (k, "press", EventType.BENDING, t > TAG_TOL,
+                   "the tour releases the vertex into its gate chord")
 
 
 def _wraps(wedge: Tuple[float, float], al: Sequence[float],
@@ -557,14 +641,14 @@ def _check_point(S: FrozenStructure, ux: float, uy: float) -> None:
     if S.common is None:
         return
     owner, lam = S.common
-    g = S.anchors[owner]
-    far = _far_endpoint(g, ux, uy)
-    v = g.gate_vertex
-    px = v.x + lam * (far.x - v.x)
-    py = v.y + lam * (far.y - v.y)
-    for h in S.anchors:
-        w = h.gate_vertex
-        if h.side and h.side * (ux * (py - w.y) - uy * (px - w.x)) <= 0.0:
+    gates = S.plans[0].gates
+    vx, vy = gates[owner][:2]
+    fx, fy = _far_endpoint(gates[owner], ux, uy)
+    px = vx + lam * (fx - vx)
+    py = vy + lam * (fy - vy)
+    for h, gate in zip(S.anchors, gates):
+        wx, wy = gate[:2]
+        if h.side and h.side * (ux * (py - wy) - uy * (px - wx)) <= 0.0:
             raise _certificate("side", h.index, "the common point crosses "
                                "the line of its gate chord", None)
 
@@ -604,7 +688,8 @@ def _caught_by(p: Point, q: Point, walls) -> Optional[int]:
     return None
 
 
-def _all_interior_length(S: FrozenStructure, u: Point) -> float:
+def _all_interior_length(gates: Sequence[_Gate], ux: float,
+                         uy: float) -> float:
     """Closed tour that only reflects, off chord lines parallel to u.
 
     The same unfolding as ``_unfold``: reflecting across lines parallel
@@ -614,16 +699,15 @@ def _all_interior_length(S: FrozenStructure, u: Point) -> float:
     vertices share one coordinate along u, which must lie on every
     chord.
     """
-    anchors = S.anchors
     total = 0.0
     lows: List[float] = []
     highs: List[float] = []
-    for i, a in enumerate(anchors):
-        v = a.gate_vertex
-        w = anchors[i - 1].gate_vertex
-        total += abs(u.x * (v.y - w.y) - u.y * (v.x - w.x))
-        far = _far_endpoint(a, u.x, u.y)
-        ends = sorted((v.x * u.x + v.y * u.y, far.x * u.x + far.y * u.y))
+    for i, gate in enumerate(gates):
+        vx, vy = gate[:2]
+        wx, wy = gates[i - 1][:2]
+        total += abs(ux * (vy - wy) - uy * (vx - wx))
+        fx, fy = _far_endpoint(gate, ux, uy)
+        ends = sorted((vx * ux + vy * uy, fx * ux + fy * uy))
         lows.append(ends[0])
         highs.append(ends[1])
     if min(highs) < max(lows) - 1e-9:

@@ -23,7 +23,9 @@ interval is scanned, a flat zero-length interval, if any exists, wins
 outright: flat intervals compete by width with the midpoint as
 representative and no bracket is refined.  Otherwise each bracket gets
 a golden-section search on the same certified structures, solving in
-full where none holds, and its argmin is confirmed by a full solve.
+full where none holds, and keeps the length read at its argmin.  Only
+the best candidate is confirmed by a full solve; one that disagrees is
+noted and replaced by the solve's length, and the best is picked again.
 """
 
 from __future__ import annotations
@@ -334,8 +336,10 @@ def _refine_minimum(P: Polygon, a: float, b: float, start: _Frozen,
 
     The search starts with the structure start and evaluates each angle
     as ``_Structures.at`` does; an angle solved in full is noted with
-    the certificate that refused it.  The returned length comes from a
-    full solve at the argmin.
+    the certificate that refused it.  The argmin is read the same way,
+    so its length is certified, or a full solve's where no structure
+    holds; ``_sweep`` confirms only the winner by a full solve.  Returns
+    None if the argmin is unsolvable.
     """
     gr = (math.sqrt(5.0) - 1.0) / 2.0
     bracket = f"bracket ({a:.6f}, {b:.6f}) deg"
@@ -366,10 +370,10 @@ def _refine_minimum(P: Polygon, a: float, b: float, start: _Frozen,
             f2 = f(x2)
         iters += 1
     x = 0.5 * (a + b)
-    r = _solve_robust(P, x)
-    if r is None:
+    length = f(x)
+    if length == math.inf:
         return None
-    return (x, r.tour.length)
+    return (x, length)
 
 
 def _bisect_change(P: Polygon, known: _Structures, a: float, fa: _Frozen,
@@ -522,12 +526,54 @@ def _check_config(cfg: SweepConfig) -> None:
                 f"sweep config {key} must be finite and {bound}, got {val!r}")
 
 
+def _solve_at(P: Polygon, theta: float) -> Optional[SolveResult]:
+    """A full solve at theta, else 1e-5 degrees past it, else None."""
+    res = _solve_robust(P, theta)
+    return res if res is not None else _solve_robust(P, theta + 1e-5)
+
+
+def _confirm(P: Polygon, candidates: Sequence[Tuple[float, float]],
+             notes: List[str]) -> Tuple[float, SolveResult]:
+    """The best candidate angle, confirmed by a full solve there.
+
+    The best is the smallest normalized angle among the candidates
+    within the tie of ``beats`` of the shortest, so that a plateau of
+    equal tours gives an angle that float noise does not pick.  A full
+    solve whose length differs from the candidate's by more than that
+    tie replaces it, with a note, and the choice is made again.
+    """
+    lengths = [L for _, L in candidates]
+    solved = {}
+    while True:
+        low = min(lengths)
+        if low == math.inf:
+            raise GeometryError("best angle is unsolvable")
+        tie = 1e-9 * (1.0 + low)
+        i = min((i for i, L in enumerate(lengths) if L < low + tie),
+                key=lambda i: normalize_deg(candidates[i][0]))
+        x, L = candidates[i][0], lengths[i]
+        if i in solved:
+            return x, solved[i]
+        theta = normalize_deg(x)
+        res = solved[i] = _solve_at(P, theta)
+        full = math.inf if res is None else res.tour.length
+        if abs(full - L) <= 1e-9 * (1.0 + L):
+            return x, res
+        notes.append(f"the full solve at {theta:.6f} deg gives length "
+                     f"{full:.9f} where the sweep read {L:.9f}; the best "
+                     f"angle is picked again")
+        lengths[i] = full
+
+
 def _sweep(P: Polygon, spans: Sequence[Tuple[float, float]],
-           cfg: SweepConfig) -> Tuple[_ScanState, float, float]:
-    """Scan every span, then refine; returns the best angle and length.
+           cfg: SweepConfig
+           ) -> Tuple[_ScanState, float, float, Optional[SolveResult]]:
+    """Scan every span, then refine; returns the best angle and length
+    with the full solve that confirmed them.
 
     A flat interval always wins, so the brackets are refined only when
-    the scan found none.
+    the scan found none; its midpoint is returned with length 0 and no
+    solve.  Otherwise ``_confirm`` picks the best candidate.
     """
     _check_config(cfg)
     state = _ScanState()
@@ -535,7 +581,7 @@ def _sweep(P: Polygon, spans: Sequence[Tuple[float, float]],
         _scan_interval(P, lo, hi, cfg, 0, state)
     if state.flats:
         _, mid = max(state.flats)
-        return state, mid, 0.0
+        return state, mid, 0.0, None
     for a, b, start in state.brackets:
         refined = _refine_minimum(P, a, b, start, cfg.refine_tol_deg,
                                   state.notes)
@@ -543,8 +589,8 @@ def _sweep(P: Polygon, spans: Sequence[Tuple[float, float]],
             state.candidates.append(refined)
     if not state.candidates:
         raise GeometryError("no solvable angle in the sweep")
-    best = min(state.candidates, key=lambda c: (c[1], c[0]))
-    return state, best[0], best[1]
+    theta, res = _confirm(P, state.candidates, state.notes)
+    return state, theta, res.tour.length, res
 
 
 def minimize_interval(P: Polygon, lo: Union[Angle, float],
@@ -561,7 +607,8 @@ def minimize_interval(P: Polygon, lo: Union[Angle, float],
         hi_deg += 180.0
     if hi_deg <= lo_deg:
         raise GeometryError("empty angle interval")
-    _, theta, length = _sweep(P, [(lo_deg, hi_deg)], config or SweepConfig())
+    _, theta, length, _ = _sweep(P, [(lo_deg, hi_deg)],
+                                 config or SweepConfig())
     return Angle(theta), length
 
 
@@ -598,12 +645,11 @@ def optimize(P: Polygon, config: Optional[SweepConfig] = None) -> SweepReport:
     samples, and the final event-free intervals.
     """
     base_events = enumerate_candidate_events(P)
-    state, best_theta, _ = _sweep(P, _interval_list(P, base_events),
-                                  config or SweepConfig())
+    state, best_theta, _, best = _sweep(P, _interval_list(P, base_events),
+                                        config or SweepConfig())
     best_theta = normalize_deg(best_theta)
-    best = _solve_robust(P, best_theta)
     if best is None:
-        best = _solve_robust(P, best_theta + 1e-5)
+        best = _solve_at(P, best_theta)
     if best is None:
         raise GeometryError("best angle is unsolvable")
 

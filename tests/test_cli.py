@@ -158,6 +158,13 @@ def test_sweep_step_must_be_finite_and_positive(tmp_path, capsys, step):
     pytest.param({"grid_fallback_step_deg": "inf"},
                  id="grid_fallback_step_deg-inf"),
     pytest.param({"jump_threshold": -0.5}, id="jump_threshold-neg"),
+    pytest.param({"samples_per_interval": 8.9},
+                 id="samples_per_interval-fraction"),
+    pytest.param({"samples_per_interval": True},
+                 id="samples_per_interval-bool"),
+    pytest.param({"samples_per_interval": "12"},
+                 id="samples_per_interval-string"),
+    pytest.param({"refine_tol_deg": True}, id="refine_tol_deg-bool"),
 ])
 def test_unknown_config_key(tmp_path, capsys, doc):
     """Unknown keys and values the sweep cannot run on exit 1, naming
