@@ -2,20 +2,23 @@
 
 A full solve at one angle fixes the tour's combinatorics: which tour
 vertices sit at polygon vertices, which touch a gate chord's far end,
-and which reflect off a gate chord in between.  ``freeze_structure``
-keeps that structure, and those of every other candidate tour the solve
-compared, and ``evaluate_close_tour`` gives the tour's length at a
-nearby angle in closed form.  Every evaluation checks certificates whose
-failure marks an event between the two angles, following Basch, Guibas
-& Hershberger, "Data structures for mobile data" (J. Algorithms 1999);
-the failure names the event type, so the sweep's event types live here.
+and which reflect off a gate chord in between; ``structure_signature``
+names it.  ``freeze_structure`` keeps that structure, and those of every
+other candidate tour the solve compared, and ``evaluate_close_tour``
+gives the tour's length at a nearby angle in closed form.  Every
+evaluation checks certificates whose failure marks an event between the
+two angles, following Basch, Guibas & Hershberger, "Data structures for
+mobile data" (J. Algorithms 1999): a structure watches the certificates
+that hold at its freeze angle, which it works out from its own candidate
+tours when it is built.  The failure names the event type, so the
+sweep's event types live here.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from .cuts import ThetaCut, VertexClass, _classify_direction, color_of_sides
@@ -58,17 +61,37 @@ class StructureInfeasibleError(GeometryError):
         self.witness = witness
 
 
-def _touched_end(p: Point, cut: ThetaCut) -> Optional[str]:
-    """The chord end a moving tour vertex sits on: "far", "vertex" or None.
+def _touches_far(p: Point, cut: ThetaCut) -> bool:
+    """Whether a moving tour vertex sits on its chord's far end.
 
-    The far end is tested first, so a vertex within TAG_TOL of both
-    counts as a far touch.
+    A moving vertex never sits on the chord's own reflex vertex:
+    ``sleeve.chord_tag`` tags a point within TAG_TOL of any vertex in
+    ``cut.near``, which holds that one, stable there.
     """
-    if _dist2(p, cut.far_point) <= TAG_TOL * TAG_TOL:
-        return "far"
-    if _dist2(p, cut.vertex) <= TAG_TOL * TAG_TOL:
-        return "vertex"
-    return None
+    return _dist2(p, cut.far_point) <= TAG_TOL * TAG_TOL
+
+
+def structure_signature(res: SolveResult) -> tuple:
+    """Combinatorial identity of a solve result, stable within an interval.
+
+    Four sets: stable tour vertices, gate vertices, gate far edges, and
+    far-end touches.  Gate entries carry (vertex, kind, far edge) but
+    not color: the kind and the far endpoint are fixed by the geometry
+    of the chord, so the entry survives the 180 degree wrap where color
+    swaps Red for Blue.
+    """
+    tour = res.tour
+    stable = tuple(sorted({
+        t.vertex_index for t in tour.tags
+        if t.kind == "stable" and t.vertex_index is not None}))
+    gate_vertices = tuple(sorted({g.cut.vertex_index for g in res.gates}))
+    gate_edges = tuple(sorted((g.cut.vertex_index, g.cut.kind.value,
+                               g.cut.far_edge) for g in res.gates))
+    touches = {(t.gate.cut.vertex_index, t.gate.cut.kind.value, "far")
+               for p, t in zip(tour.cycle, tour.tags)
+               if t.kind == "moving" and t.gate is not None
+               and _touches_far(p, t.gate.cut)}
+    return (stable, gate_vertices, gate_edges, tuple(sorted(touches)))
 
 
 @dataclass(frozen=True)
@@ -109,21 +132,23 @@ class FrozenStructure:
     one frozen tour per distinct tour, up to rotation, and ``order``
     places each candidate, in the solve's order, as (rival, offset) with
     its cycle starting ``offset`` vertices into the rival's.  Rival 0 is
-    the winner, ``anchors``, and ``watched`` holds per rival the
-    (anchor, certificate) pairs to check.  A point tour keeps one
-    "gate" anchor per gate and, in ``common``, the gate its point lies
-    on with the point's fraction of that chord.
+    the winner, ``anchors``.  A point tour keeps one "gate" anchor per
+    gate and, in ``common``, the gate its point lies on with the point's
+    fraction of that chord.
 
     Construction compiles each rival (the anchors alone when there are
-    no rivals) into a ``_Plan``, and evaluation runs only the plans.  A
-    plan holds every gate anchor as (vx, vy, ray_sign, ex, ey, wx, wy):
-    the chord's vertex, its sign along u, its frozen edge's direction
-    and the offset from the vertex to that edge's start, the same
-    differences ``_far_endpoint`` used to take, so every product is
-    unchanged.  It holds the pinned anchors, each with a stable point's
-    coordinates or a touch's gate; the runs of interior anchors between
-    consecutive pinned ones, with the gate vertices whose chord lines
-    they reflect off; and the watched checks in the order they are
+    no rivals) into a ``_Plan`` with every check, runs the checks once
+    at ``theta_deg``, and keeps in ``watched``, per rival, the (anchor,
+    certificate) pairs none of whose checks fails there; a pair at an
+    anchor where every candidate of the rival starts is left out, since
+    the solve pinned it.  Evaluation runs only the plans, with the
+    watched checks.  A plan holds every gate anchor as (vx, vy,
+    ray_sign, ex, ey, wx, wy): the chord's vertex, its sign along u, its
+    frozen edge's direction and the offset from the vertex to that
+    edge's start.  It holds the pinned anchors, each with a stable
+    point's coordinates or a touch's gate; the runs of interior anchors
+    between consecutive pinned ones, with the gate vertices whose chord
+    lines they reflect off; and the checks in the order they are
     reported: the inside checks by anchor, then each pinned anchor's
     turn and press checks.
     """
@@ -139,14 +164,32 @@ class FrozenStructure:
     common: Optional[Tuple[int, float]] = None
     rivals: Tuple[Tuple[FrozenAnchor, ...], ...] = ()
     order: Tuple[Tuple[int, int], ...] = ()
-    watched: Tuple[FrozenSet[Tuple[int, str]], ...] = ()
+    watched: Tuple[FrozenSet[Tuple[int, str]], ...] = field(init=False)
     plans: Tuple["_Plan", ...] = field(init=False, repr=False,
                                        compare=False)
 
     def __post_init__(self) -> None:
-        watched = self.watched or (frozenset(),)
-        self.plans = tuple(_compile(anchors, watched[i]) for i, anchors
-                           in enumerate(self.rivals or (self.anchors,)))
+        r = math.radians(self.theta_deg)
+        ux, uy = math.cos(r), math.sin(r)
+        watched, plans = [], []
+        for ri, anchors in enumerate(self.rivals):
+            plan = _compile(anchors)
+            held: FrozenSet[Tuple[int, str]] = frozenset()
+            if plan.pinned:
+                # an (anchor, certificate) pair holds only if none of
+                # its checks fails: "inside" makes two
+                starts = {off for i, off in self.order if i == ri}
+                al, no, _ = _place(plan, ux, uy)
+                checks = list(_checks(plan, al, no, ux, uy))
+                broken = {(k, name) for k, name, _, violated, _ in checks
+                          if violated}
+                held = frozenset((k, name) for k, name, _, _, _ in checks
+                                 if starts != {k}) - broken
+            watched.append(held)
+            plans.append(_watch(plan, held))
+        self.watched = tuple(watched)
+        self.plans = (tuple(plans)
+                      or (_watch(_compile(self.anchors), frozenset()),))
 
 
 # A gate anchor compiled for evaluation: (vx, vy, ray_sign, ex, ey, wx, wy)
@@ -161,10 +204,11 @@ class _Plan(NamedTuple):
     ``pinned`` holds (anchor, gate, x, y): a touch's gate, or None and a
     stable anchor's coordinates.  ``runs`` holds (i, run, gate vertices,
     j) from each pinned anchor i to the next, j.  ``inside`` holds the
-    watched inside checks as (anchor, gate); ``corners`` holds, per
-    pinned anchor with a watched turn or press check, (anchor, its
-    position in ``pinned``, wedge, gate, touch), with the wedge or the
-    gate None where that check is not watched.
+    inside checks as (anchor, gate); ``corners`` holds, per pinned
+    anchor with a turn or press check, (anchor, its position in
+    ``pinned``, wedge, gate, touch), with the wedge or the gate None
+    where that check is not made.  ``_compile`` gives every check and
+    ``_watch`` keeps the watched ones.
     """
 
     index: Tuple[Optional[int], ...]
@@ -186,9 +230,8 @@ def _compile_gate(a: FrozenAnchor) -> Optional[_Gate]:
             e.a.x - v.x, e.a.y - v.y)
 
 
-def _compile(anchors: Sequence[FrozenAnchor],
-             watch: Optional[FrozenSet[Tuple[int, str]]]) -> _Plan:
-    """A frozen tour's plan, with the checks in watch, or all if None."""
+def _compile(anchors: Sequence[FrozenAnchor]) -> _Plan:
+    """A frozen tour's plan, with every check."""
     m = len(anchors)
     gates = tuple(_compile_gate(a) for a in anchors)
     pinned = [k for k, a in enumerate(anchors) if a.kind != "interior"]
@@ -198,16 +241,10 @@ def _compile(anchors: Sequence[FrozenAnchor],
         run = tuple((i + d) % m for d in range(1, (j - i) % m or m))
         runs.append((i, run, tuple(gates[q][:2] for q in run), j))
 
-    def watched(k: int, name: str) -> bool:
-        return watch is None or (k, name) in watch
-
-    corners = []
-    for pi, k in enumerate(pinned if len(pinned) > 1 else ()):
-        a = anchors[k]
-        wedge = a.wedge if watched(k, "turn") else None
-        gate = gates[k] if watched(k, "press") else None
-        if wedge is not None or gate is not None:
-            corners.append((k, pi, wedge, gate, a.kind == "touch_far"))
+    corners = tuple((k, pi, anchors[k].wedge, gates[k],
+                     anchors[k].kind == "touch_far")
+                    for pi, k in enumerate(pinned if len(pinned) > 1 else ())
+                    if anchors[k].wedge is not None or gates[k] is not None)
     return _Plan(
         tuple(a.index for a in anchors), gates,
         tuple((k, None, anchors[k].point.x, anchors[k].point.y)
@@ -215,8 +252,19 @@ def _compile(anchors: Sequence[FrozenAnchor],
               for k in pinned),
         tuple(runs),
         tuple((k, gates[k]) for k, a in enumerate(anchors)
-              if a.kind == "interior" and watched(k, "inside")),
-        tuple(corners))
+              if a.kind == "interior"),
+        corners)
+
+
+def _watch(plan: _Plan, held: FrozenSet[Tuple[int, str]]) -> _Plan:
+    """The plan with only the checks of the pairs in held."""
+    corners = ((k, pi, wedge if (k, "turn") in held else None,
+                gate if (k, "press") in held else None, touch)
+               for k, pi, wedge, gate, touch in plan.corners)
+    return plan._replace(
+        inside=tuple(c for c in plan.inside if (c[0], "inside") in held),
+        corners=tuple(c for c in corners
+                      if c[2] is not None or c[3] is not None))
 
 
 def _reflex_colors(P: Polygon, u: Point):
@@ -232,11 +280,13 @@ def _reflex_colors(P: Polygon, u: Point):
 
 
 def _gate_anchor(kind: str, p: Point, gate: Gate, P: Polygon, u: Point,
-                 index: int) -> FrozenAnchor:
+                 index: int, wedge: Optional[Tuple[float, float]] = None,
+                 side: float = 0.0) -> FrozenAnchor:
     v = gate.cut.vertex
     far = gate.cut.far_point
     sign = 1.0 if ((far.x - v.x) * u.x + (far.y - v.y) * u.y) > 0 else -1.0
-    return FrozenAnchor(kind, p, v, P.edge(gate.cut.far_edge), sign, index)
+    return FrozenAnchor(kind, p, v, P.edge(gate.cut.far_edge), sign, index,
+                        wedge, side)
 
 
 def _wedge(P: Polygon, wi: int) -> Tuple[float, float]:
@@ -263,17 +313,16 @@ def _tour_anchors(P: Polygon, tour: Tour, gates: Sequence[Gate],
             g = t.gate
             if g is None:
                 raise GeometryError("moving tour vertex without a gate")
-            kind = ("touch_far" if _touched_end(p, g.cut) == "far"
-                    else "interior")
+            kind = "touch_far" if _touches_far(p, g.cut) else "interior"
             anchors.append(_gate_anchor(kind, p, g, P, u,
                                         g.cut.vertex_index))
             continue
         vi = t.vertex_index
         own = [g for g in gates if g.cut.vertex_index == vi]
-        a = (_gate_anchor("stable", p, own[0], P, u, vi) if len(own) == 1
-             else FrozenAnchor("stable", p, index=vi))
-        anchors.append(replace(a, wedge=_wedge(P, vi)) if vi in reflex
-                       else a)
+        wedge = _wedge(P, vi) if vi in reflex else None
+        anchors.append(_gate_anchor("stable", p, own[0], P, u, vi, wedge)
+                       if len(own) == 1
+                       else FrozenAnchor("stable", p, index=vi, wedge=wedge))
     return tuple(anchors)
 
 
@@ -282,40 +331,32 @@ def _rotation(shape: tuple, other: tuple) -> Optional[int]:
     m = len(shape)
     if len(other) != m:
         return None
-    for r in range(m):
-        if all(other[k] == shape[(k + r) % m] for k in range(m)):
-            return r
-    return None
+    return next((r for r in range(m)
+                 if all(other[k] == shape[(k + r) % m] for k in range(m))),
+                None)
 
 
 def freeze_structure(P: Polygon, res: SolveResult) -> FrozenStructure:
     """Freeze the solve's tour and every candidate tour it tried.
 
-    A candidate tour's first vertex is its start, where the solve pinned
-    it, so a certificate there is not watched for that candidate.  The
-    candidates that are one tour from different starts share one frozen
-    rival, which watches every certificate that holds at the freeze
-    angle and is free to fail for at least one of them.
+    The candidates that are one tour from different starts share one
+    frozen rival; ``FrozenStructure`` works out which certificates each
+    rival watches.
     """
     tour = res.tour
     u = res.theta.direction()
     colors = _reflex_colors(P, u)
     reflex = set(P.reflex_indices)
-    walls = []
-    for i in range(P.n):
-        j = (i + 1) % P.n
-        if i in reflex or j in reflex:
-            a, b = P.vertices[i], P.vertices[j]
-            walls.append((i if i in reflex else None, a.x, a.y,
-                          j if j in reflex else None, b.x, b.y))
-    walls = tuple(walls)
+    ends = [(i if i in reflex else None, v.x, v.y)
+            for i, v in enumerate(P.vertices)]
+    walls = tuple(a + b for a, b in zip(ends, ends[1:] + ends[:1])
+                  if a[0] is not None or b[0] is not None)
     if len(tour.cycle) == 1:
         return _freeze_point(P, res, colors, walls)
     tours = list(res.rivals) or [tour]
     first = next(i for i, t in enumerate(tours) if t is tour)
     rivals: List[Tuple[FrozenAnchor, ...]] = []
     shapes: List[tuple] = []
-    starts: List[set] = []
     order: List[Tuple[int, int]] = [(0, 0)] * len(tours)
     for i in [first] + [j for j in range(len(tours)) if j != first]:
         anchors = _tour_anchors(P, tours[i], res.gates, u)
@@ -324,28 +365,14 @@ def freeze_structure(P: Polygon, res: SolveResult) -> FrozenStructure:
             r = _rotation(known, shape)
             if r is not None:
                 order[i] = (ri, r)
-                starts[ri].add(r)
                 break
         else:
             order[i] = (len(rivals), 0)
             rivals.append(anchors)
             shapes.append(shape)
-            starts.append({0})
-    watched = []
-    for anchors, pinned_at in zip(rivals, starts):
-        held: FrozenSet[Tuple[int, str]] = frozenset()
-        plan = _compile(anchors, None)
-        if plan.pinned:
-            al, no, _ = _place(plan, u.x, u.y)
-            checks = list(_checks(plan, al, no, u.x, u.y))
-            broken = {(k, name) for k, name, _, violated, _ in checks
-                      if violated}
-            held = frozenset((k, name) for k, name, _, _, _ in checks
-                             if pinned_at != {k}) - broken
-        watched.append(held)
     return FrozenStructure(P, res.theta.degrees, tour.length, "tour",
                            rivals[0], colors, walls, None, tuple(rivals),
-                           tuple(order), tuple(watched))
+                           tuple(order))
 
 
 def _freeze_point(P: Polygon, res: SolveResult, colors, walls):
@@ -361,9 +388,9 @@ def _freeze_point(P: Polygon, res: SolveResult, colors, walls):
     for g in gates:
         v = g.cut.vertex
         side = u.x * (p.y - v.y) - u.y * (p.x - v.x)
-        a = _gate_anchor("gate", g.cut.far_point, g, P, u, g.cut.vertex_index)
-        anchors.append(replace(a, side=math.copysign(1.0, side)
-                               if abs(side) > TAG_TOL else 0.0))
+        anchors.append(_gate_anchor(
+            "gate", g.cut.far_point, g, P, u, g.cut.vertex_index,
+            side=math.copysign(1.0, side) if abs(side) > TAG_TOL else 0.0))
     common = None
     if owner is not None:
         g = gates[owner]

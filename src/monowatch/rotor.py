@@ -48,9 +48,9 @@ from .kinetic import (
     EventType,
     FrozenStructure,
     StructureInfeasibleError,
-    _touched_end,
     evaluate_close_tour,
     freeze_structure,
+    structure_signature,
 )
 from .sleeve import Tour
 from .solver import SolveResult, solve_theta
@@ -118,9 +118,7 @@ def _classify_pair(P: Polygon, ui: int, wi: int, ang: float) -> EventType:
         cw = _classify_direction(P, wi, math.cos(r), math.sin(r))
         if VertexClass.BOUNDARY in (cu, cw):
             continue
-        if cw not in (VertexClass.RED, VertexClass.BLUE):
-            return EventType.PASSING
-        if cu not in (VertexClass.RED, VertexClass.BLUE):
+        if {cu, cw} - {VertexClass.RED, VertexClass.BLUE}:
             return EventType.PASSING
         return EventType.DOMINATION if cu is cw else EventType.JUMPING
     return EventType.PASSING
@@ -155,32 +153,6 @@ def enumerate_candidate_events(P: Polygon) -> List[Event]:
                                 (ui, wi)))
     events.sort(key=Event.sort_key)
     return events
-
-
-def structure_signature(res: SolveResult) -> tuple:
-    """Combinatorial identity of a solve result, stable within an interval.
-
-    Four sets: stable tour vertices, gate vertices, gate far edges, and
-    endpoint touches.  Gate entries carry (vertex, kind, far edge) but
-    not color: the kind and the far endpoint are fixed by the geometry
-    of the chord, so the entry survives the 180 degree wrap where color
-    swaps Red for Blue.
-    """
-    tour = res.tour
-    stable = tuple(sorted({
-        t.vertex_index for t in tour.tags
-        if t.kind == "stable" and t.vertex_index is not None}))
-    gate_vertices = tuple(sorted({g.cut.vertex_index for g in res.gates}))
-    gate_edges = tuple(sorted((g.cut.vertex_index, g.cut.kind.value,
-                               g.cut.far_edge) for g in res.gates))
-    touches = set()
-    for p, t in zip(tour.cycle, tour.tags):
-        if t.kind != "moving" or t.gate is None:
-            continue
-        end = _touched_end(p, t.gate.cut)
-        if end is not None:
-            touches.add((t.gate.cut.vertex_index, t.gate.cut.kind.value, end))
-    return (stable, gate_vertices, gate_edges, tuple(sorted(touches)))
 
 
 def _solve_robust(P: Polygon, ang_deg: float) -> Optional[SolveResult]:
@@ -599,10 +571,15 @@ def minimize_interval(P: Polygon, lo: Union[Angle, float],
     """Shortest tour over an angle interval, splitting at hidden events.
 
     Returns the minimizing angle and its length.  The interval is taken
-    in degrees; hi may exceed 180 to express wraparound past 0.
+    in degrees; hi may exceed 180 to express wraparound past 0.  A bound
+    that is not finite is refused, naming it.
     """
     lo_deg = lo.degrees if isinstance(lo, Angle) else float(lo)
     hi_deg = hi.degrees if isinstance(hi, Angle) else float(hi)
+    for name, deg in (("lo", lo_deg), ("hi", hi_deg)):
+        if not math.isfinite(deg):
+            raise GeometryError(f"minimize_interval bound {name} must be "
+                                f"finite, got {deg!r}")
     if hi_deg < lo_deg:
         hi_deg += 180.0
     if hi_deg <= lo_deg:
@@ -624,13 +601,8 @@ def _merge_detected(base: Sequence[Event],
     window = 0.5 * EVENT_WINDOW_DEG
     for ev in sorted(detected, key=Event.sort_key):
         a = ev.angle.degrees
-        close = False
-        for kept in merged:
-            d = abs(kept.angle.degrees - a)
-            if min(d, 180.0 - d) <= window:
-                close = True
-                break
-        if not close:
+        if all(min(d, 180.0 - d) > window
+               for d in (abs(kept.angle.degrees - a) for kept in merged)):
             merged.append(ev)
     merged.sort(key=Event.sort_key)
     return merged

@@ -5,7 +5,8 @@ from typing import FrozenSet, Optional, Sequence, Tuple
 
 import pytest
 
-from monowatch import Angle, EventAngleError, GeometryError, rotor, solve_theta
+from monowatch import (Angle, EventAngleError, GeometryError, kinetic, rotor,
+                       solve_theta)
 from monowatch.cuts import color_of_sides
 from monowatch.geom import TAG_TOL, TAU_ORIENT, Point, Segment, normalize_deg
 from monowatch.oracle import dense_sweep, validate_tour
@@ -577,6 +578,74 @@ def test_frozen_tour_of_interior_reflections(square):
         evaluate_close_tour(apart, 0.0)
 
 
+def test_watched_drops_a_certificate_with_any_failed_check(square):
+    # the tour A -> I -> B -> A reflects at I off the vertical chord from
+    # (2, 0.5) up to y = 1.5, but its foot sits at y = 2, past the far
+    # end: the Cuddle check of I's inside certificate fails at the freeze
+    # angle and its Bending check holds, so the certificate is not
+    # watched and the structure reads its own angle; B's turn holds
+    a = FrozenAnchor("stable", Point(1.0, 1.0), index=0)
+    b = FrozenAnchor("stable", Point(1.0, 3.0), index=1, wedge=(1.0, -2.0))
+    anchors = (a, _interior(2.0, 0.5, 1.5), b)
+    S = FrozenStructure(square, 90.0, 2.0 + 2.0 * math.sqrt(2.0), "tour",
+                        anchors, rivals=(anchors,), order=((0, 0),))
+    assert (1, "inside") not in S.watched[0]
+    assert S.watched == _reference_watched(S) == (frozenset({(2, "turn")}),)
+    assert evaluate_close_tour(S, 0.0) == pytest.approx(S.base_length,
+                                                        abs=1e-12)
+
+
+def test_freeze_compiles_each_rival_once(monkeypatch):
+    # a freeze compiles each rival once, with every check, and keeps the
+    # watched ones; a point tour compiles its gate anchors once
+    compiled = [0]
+    compile_plan = kinetic._compile
+
+    def counting(*args):
+        compiled[0] += 1
+        return compile_plan(*args)
+
+    counts = []
+    freeze = rotor.freeze_structure
+
+    def recording(P, res):
+        before = compiled[0]
+        S = freeze(P, res)
+        counts.append((S.kind, len(S.rivals), compiled[0] - before))
+        return S
+
+    monkeypatch.setattr(kinetic, "_compile", counting)
+    monkeypatch.setattr(rotor, "freeze_structure", recording)
+    for P in (make_polygon(DOUBLE_PTS), make_polygon(SPIRAL_PTS),
+              spiral_corridor(1), comb(4)):
+        spans = rotor._interval_list(P, enumerate_candidate_events(P))
+        rotor._sweep(P, spans, SweepConfig())
+    assert all(got == (rivals or 1) for _, rivals, got in counts), counts
+    assert any(kind == "point" for kind, _, _ in counts)
+    assert any(rivals > 1 for _, rivals, _ in counts)
+
+
+def test_moving_vertices_touch_only_far_ends(corpus_solves):
+    # chord_tag tags a point within TAG_TOL of any vertex in cut.near
+    # stable, and cut.near holds the gate's own vertex: a moving tour
+    # vertex touches its chord at the far end or nowhere, and those far
+    # touches are the signature's touches
+    far = 0
+    for P, th, res in corpus_solves:
+        for tour in (res.tour,) + tuple(res.rivals):
+            for p, t in zip(tour.cycle, tour.tags):
+                if t.kind == "moving":
+                    v = t.gate.cut.vertex
+                    assert math.dist(p, v) > TAG_TOL, (th, p)
+        touches = {(t.gate.cut.vertex_index, t.gate.cut.kind.value, "far")
+                   for p, t in zip(res.tour.cycle, res.tour.tags)
+                   if t.kind == "moving"
+                   and kinetic._touches_far(p, t.gate.cut)}
+        assert structure_signature(res)[3] == tuple(sorted(touches)), th
+        far += len(touches)
+    assert far
+
+
 def test_frozen_structure_refuses_past_validity_event():
     # spiral seed 1 has its best tour just below the Validity event of
     # reflex vertex 14 and edge 14; past it, without the color check,
@@ -712,6 +781,14 @@ def test_minimize_interval_wraps(double):
 def test_minimize_interval_rejects_empty(double):
     with pytest.raises(GeometryError):
         minimize_interval(double, 40.0, 40.0)
+
+
+@pytest.mark.parametrize("lo, hi, name", [
+    (math.nan, 10.0, "lo"), (0.0, math.inf, "hi"),
+    (-math.inf, 10.0, "lo"), (0.0, math.nan, "hi")])
+def test_minimize_interval_rejects_non_finite_bounds(double, lo, hi, name):
+    with pytest.raises(GeometryError, match=f"bound {name} must be finite"):
+        minimize_interval(double, lo, hi)
 
 
 def test_refine_tol_below_float_spacing_terminates(double):
