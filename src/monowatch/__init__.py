@@ -11,7 +11,7 @@ from .cuts import (
     left_region,
     left_region_contains,
 )
-from .gates import Gate, ReducedPolygon, compute_gates, dominates, reduce_polygon
+from .gates import ReducedPolygon, compute_gates, dominates, reduce_polygon
 from .geom import (
     Angle,
     EventAngleError,
@@ -72,7 +72,6 @@ __all__ = [
     "EventAngleError",
     "EventType",
     "FrozenStructure",
-    "Gate",
     "GeometryError",
     "MaximalMovingSubpath",
     "Point",

@@ -186,7 +186,7 @@ def _tour_doc(tour: Tour) -> dict:
         tags.append({
             "kind": t.kind,
             "vertex_index": t.vertex_index,
-            "gate_vertex_index": (t.gate.cut.vertex_index
+            "gate_vertex_index": (t.gate.vertex_index
                                   if t.gate is not None else None),
         })
     return {
@@ -202,7 +202,7 @@ def solve_document(res: SolveResult, name: Optional[str]) -> dict:
         "name": name,
         "theta_deg": float(res.theta.degrees),
         "cuts": [_cut_doc(c) for c in res.cuts],
-        "gates": [_cut_doc(g.cut) for g in res.gates],
+        "gates": [_cut_doc(g) for g in res.gates],
         "common_point": (_point_doc(res.common_point)
                          if res.common_point is not None else None),
     })
@@ -303,8 +303,7 @@ def cmd_solve(args) -> int:
     res = _at_angle(P, args.theta_deg, lambda ang: solve_theta(P, ang))
     emit_document(solve_document(res, name), args.json)
     if args.svg:
-        _write_text(args.svg, render_svg(P, res.cuts,
-                                         [g.cut for g in res.gates], res.tour))
+        _write_text(args.svg, render_svg(P, res.cuts, res.gates, res.tour))
     return EXIT_OK
 
 

@@ -1,4 +1,4 @@
-"""Gate selection and reduction of the polygon along gate chords.
+"""Selection of the gates and reduction of the polygon along their chords.
 
 A gate is a cut whose left region is minimal under inclusion among all
 cuts at the same angle.  Touring every gate chord is enough to see the
@@ -23,35 +23,12 @@ from .geom import (
     GeometryError,
     Point,
     Polygon,
-    Segment,
     ring_area,
 )
 from .cuts import CutColor, CutKind, ThetaCut
 
 # relative slack for the area bookkeeping check in reduce_polygon
 AREA_CHECK_REL = 1e-6
-
-
-@dataclass(frozen=True)
-class Gate:
-    """A non-dominated cut, with its vertex and far edge made explicit."""
-
-    cut: ThetaCut
-
-    @property
-    def gate_vertex(self) -> Point:
-        return self.cut.vertex
-
-    @property
-    def gate_edge(self) -> int:
-        return self.cut.far_edge
-
-    @property
-    def chord(self) -> Segment:
-        return self.cut.chord
-
-    def describe(self) -> str:
-        return "gate from " + self.cut.describe()
 
 
 def boundary_arc(P: Polygon, cut: ThetaCut) -> Tuple[float, float]:
@@ -156,7 +133,7 @@ def _refuse_collinear_same_color(cuts: Sequence[ThetaCut]) -> None:
             witness=(c1.vertex_index, c2.vertex_index))
 
 
-def compute_gates(P: Polygon, cuts: Sequence[ThetaCut]) -> List[Gate]:
+def compute_gates(P: Polygon, cuts: Sequence[ThetaCut]) -> List[ThetaCut]:
     """Minimal cuts under left-region inclusion, in cut order.
 
     Two same-colored cuts from different vertices on one line make the
@@ -165,7 +142,7 @@ def compute_gates(P: Polygon, cuts: Sequence[ThetaCut]) -> List[Gate]:
     cuts = list(cuts)
     _refuse_collinear_same_color(cuts)
     arcs = [boundary_arc(P, c) for c in cuts]
-    return [Gate(c) for c, a in zip(cuts, arcs)
+    return [c for c, a in zip(cuts, arcs)
             if not any(_strictly_within(b, a, P.n) for b in arcs)]
 
 
@@ -181,11 +158,11 @@ class ReducedPolygon:
     """
 
     polygon: Polygon
-    essential: Tuple[Tuple[int, Gate], ...]
+    essential: Tuple[Tuple[int, ThetaCut], ...]
     theta: Angle
     source: Polygon
     removed_area: float
-    origins: Tuple[Union[int, Gate], ...]
+    origins: Tuple[Union[int, ThetaCut], ...]
 
 
 def _removal_side(arc: Tuple[float, float],
@@ -198,7 +175,7 @@ def _removal_side(arc: Tuple[float, float],
                         "not well defined at this angle")
 
 
-def _chord_end(P: Polygon, q: Point, key: float, gates: Sequence[Gate]):
+def _chord_end(P: Polygon, q: Point, key: float, gates: Sequence[ThetaCut]):
     """(key, point, origin) of a chord end on the walk.  Within
     TAU_ONEDGE of a polygon vertex it takes that vertex's key and place;
     its origin is the vertex it equals, else the first gate whose far
@@ -210,7 +187,7 @@ def _chord_end(P: Polygon, q: Point, key: float, gates: Sequence[Gate]):
             if q == P.vertices[j]:
                 return key, q, j
             break
-    return key, q, next(g for g in gates if g.cut.far_point == q)
+    return key, q, next(g for g in gates if g.far_point == q)
 
 
 def _run(P: Polygon, a: tuple, b: tuple) -> list:
@@ -221,7 +198,7 @@ def _run(P: Polygon, a: tuple, b: tuple) -> list:
     return [a[1:], *((P.vertices[i], i) for i in inner), b[1:]]
 
 
-def reduce_polygon(P: Polygon, gates: Sequence[Gate],
+def reduce_polygon(P: Polygon, gates: Sequence[ThetaCut],
                    theta: Angle) -> ReducedPolygon:
     """Remove every gate's left region from P in one boundary walk.
 
@@ -235,7 +212,7 @@ def reduce_polygon(P: Polygon, gates: Sequence[Gate],
     """
     if not gates:
         return ReducedPolygon(P, (), theta, P, 0.0, tuple(range(P.n)))
-    arcs = [boundary_arc(P, g.cut) for g in gates]
+    arcs = [boundary_arc(P, g) for g in gates]
     stretches, removed_total = [], 0.0
     for gi, g in enumerate(gates):
         ends = [_chord_end(P, q, k, gates)  # the arc runs from b to a

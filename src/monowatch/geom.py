@@ -90,19 +90,12 @@ class Angle:
         object.__setattr__(self, "degrees", normalize_deg(self.degrees))
 
     @property
-    def value(self) -> float:
-        return self.degrees
-
-    @property
     def radians(self) -> float:
         return math.radians(self.degrees)
 
     def direction(self) -> Point:
         r = self.radians
         return Point(math.cos(r), math.sin(r))
-
-    def __float__(self) -> float:
-        return self.degrees
 
 
 def orient_value(p: Point, q: Point, r: Point) -> float:

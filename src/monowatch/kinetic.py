@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from .cuts import ThetaCut, VertexClass, _classify_direction, color_of_sides
-from .gates import Gate
 from .geom import (
     TAU_ORIENT,
     GeometryError,
@@ -75,7 +74,7 @@ def structure_signature(res: SolveResult) -> tuple:
     """Combinatorial identity of a solve result, stable within an interval.
 
     Four sets: stable tour vertices, gate vertices, gate far edges, and
-    far-end touches.  Gate entries carry (vertex, kind, far edge) but
+    far-end touches.  Far-edge entries carry (vertex, kind, far edge) but
     not color: the kind and the far endpoint are fixed by the geometry
     of the chord, so the entry survives the 180 degree wrap where color
     swaps Red for Blue.
@@ -84,13 +83,13 @@ def structure_signature(res: SolveResult) -> tuple:
     stable = tuple(sorted({
         t.vertex_index for t in tour.tags
         if t.kind == "stable" and t.vertex_index is not None}))
-    gate_vertices = tuple(sorted({g.cut.vertex_index for g in res.gates}))
-    gate_edges = tuple(sorted((g.cut.vertex_index, g.cut.kind.value,
-                               g.cut.far_edge) for g in res.gates))
-    touches = {(t.gate.cut.vertex_index, t.gate.cut.kind.value, "far")
+    gate_vertices = tuple(sorted({g.vertex_index for g in res.gates}))
+    gate_edges = tuple(sorted((g.vertex_index, g.kind.value, g.far_edge)
+                              for g in res.gates))
+    touches = {(t.gate.vertex_index, t.gate.kind.value, "far")
                for p, t in zip(tour.cycle, tour.tags)
                if t.kind == "moving" and t.gate is not None
-               and _touches_far(p, t.gate.cut)}
+               and _touches_far(p, t.gate)}
     return (stable, gate_vertices, gate_edges, tuple(sorted(touches)))
 
 
@@ -279,14 +278,14 @@ def _reflex_colors(P: Polygon, u: Point):
     return tuple(out)
 
 
-def _gate_anchor(kind: str, p: Point, gate: Gate, P: Polygon, u: Point,
-                 index: int, wedge: Optional[Tuple[float, float]] = None,
+def _gate_anchor(kind: str, p: Point, gate: ThetaCut, P: Polygon, u: Point,
+                 wedge: Optional[Tuple[float, float]] = None,
                  side: float = 0.0) -> FrozenAnchor:
-    v = gate.cut.vertex
-    far = gate.cut.far_point
+    v = gate.vertex
+    far = gate.far_point
     sign = 1.0 if ((far.x - v.x) * u.x + (far.y - v.y) * u.y) > 0 else -1.0
-    return FrozenAnchor(kind, p, v, P.edge(gate.cut.far_edge), sign, index,
-                        wedge, side)
+    return FrozenAnchor(kind, p, v, P.edge(gate.far_edge), sign,
+                        gate.vertex_index, wedge, side)
 
 
 def _wedge(P: Polygon, wi: int) -> Tuple[float, float]:
@@ -299,7 +298,7 @@ def _wedge(P: Polygon, wi: int) -> Tuple[float, float]:
             (a.y - w.y) / da + (b.y - w.y) / db)
 
 
-def _tour_anchors(P: Polygon, tour: Tour, gates: Sequence[Gate],
+def _tour_anchors(P: Polygon, tour: Tour, gates: Sequence[ThetaCut],
                   u: Point) -> Tuple[FrozenAnchor, ...]:
     """One anchor per tour vertex, in cycle order.
 
@@ -313,14 +312,13 @@ def _tour_anchors(P: Polygon, tour: Tour, gates: Sequence[Gate],
             g = t.gate
             if g is None:
                 raise GeometryError("moving tour vertex without a gate")
-            kind = "touch_far" if _touches_far(p, g.cut) else "interior"
-            anchors.append(_gate_anchor(kind, p, g, P, u,
-                                        g.cut.vertex_index))
+            kind = "touch_far" if _touches_far(p, g) else "interior"
+            anchors.append(_gate_anchor(kind, p, g, P, u))
             continue
         vi = t.vertex_index
-        own = [g for g in gates if g.cut.vertex_index == vi]
+        own = [g for g in gates if g.vertex_index == vi]
         wedge = _wedge(P, vi) if vi in reflex else None
-        anchors.append(_gate_anchor("stable", p, own[0], P, u, vi, wedge)
+        anchors.append(_gate_anchor("stable", p, own[0], P, u, wedge)
                        if len(own) == 1
                        else FrozenAnchor("stable", p, index=vi, wedge=wedge))
     return tuple(anchors)
@@ -386,16 +384,16 @@ def _freeze_point(P: Polygon, res: SolveResult, colors, walls):
                   if point_segment_distance(p, g.chord) <= TAG_TOL), None)
     anchors = []
     for g in gates:
-        v = g.cut.vertex
+        v = g.vertex
         side = u.x * (p.y - v.y) - u.y * (p.x - v.x)
         anchors.append(_gate_anchor(
-            "gate", g.cut.far_point, g, P, u, g.cut.vertex_index,
+            "gate", g.far_point, g, P, u,
             side=math.copysign(1.0, side) if abs(side) > TAG_TOL else 0.0))
     common = None
     if owner is not None:
         g = gates[owner]
-        common = (owner, math.dist(p, g.cut.vertex)
-                  / math.dist(g.cut.far_point, g.cut.vertex))
+        common = (owner, math.dist(p, g.vertex)
+                  / math.dist(g.far_point, g.vertex))
     return FrozenStructure(P, res.theta.degrees, tour.length, "point",
                            tuple(anchors), colors, walls, common)
 

@@ -139,8 +139,7 @@ def _chord_samples(cut: ThetaCut, m: int) -> np.ndarray:
     return np.stack([a.x + t * (b.x - a.x), a.y + t * (b.y - a.y)], axis=1)
 
 
-def _segment_mask(P: Polygon, A: np.ndarray, B: np.ndarray,
-                  pad: float = 1e-9) -> np.ndarray:
+def _segment_mask(P: Polygon, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Which straight segments A[i] -> B[j] stay inside the polygon."""
     verts = np.array(P.vertices)
     E0 = verts
@@ -214,14 +213,14 @@ def reference_min_tour(P: Polygon, theta: Union[Angle, float],
     K = len(gates)
     if K == 0:
         return ReferenceResult(0.0, 0.0, (), ())
-    chords = [g.cut.chord for g in gates]
+    chords = [g.chord for g in gates]
     if K == 1:
         mid = chords[0].midpoint()
         return ReferenceResult(0.0, 0.0, (0,), (mid,))
     if K > max_gates:
         raise GeometryError(f"reference oracle capped at {max_gates} gates, "
                             f"got {K}")
-    grids = [_chord_samples(g.cut, m) for g in gates]
+    grids = [_chord_samples(g, m) for g in gates]
     slack = sum(c.length() / (m - 1) for c in chords)
 
     masks: dict = {}

@@ -36,12 +36,15 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from .cuts import VertexClass, _classify_direction
 from .geom import (
+    TAU_ONEDGE,
     Angle,
     EventAngleError,
     GeometryError,
     Point,
     Polygon,
+    Segment,
     normalize_deg,
+    point_segment_distance,
     segments_properly_cross,
 )
 from .kinetic import (
@@ -99,6 +102,12 @@ class SweepReport:
 
 
 def _segment_visible(P: Polygon, i: int, j: int) -> bool:
+    """Whether the segment from vertex i to vertex j stays in P.
+
+    It must cross no edge properly.  A segment can still leave P where
+    it passes through a vertex, so it is split at every vertex within
+    TAU_ONEDGE of it and the midpoint of each piece must lie in P.
+    """
     n = P.n
     a = P.vertices[i]
     b = P.vertices[j]
@@ -107,8 +116,15 @@ def _segment_visible(P: Polygon, i: int, j: int) -> bool:
             continue
         if segments_properly_cross(a, b, P.vertices[e], P.vertices[(e + 1) % n]):
             return False
-    mid = Point((a.x + b.x) / 2.0, (a.y + b.y) / 2.0)
-    return P.contains(mid) >= 0
+    seg = Segment(a, b)
+    dx, dy = b.x - a.x, b.y - a.y
+    ts = sorted([0.0, 1.0] + [
+        ((v.x - a.x) * dx + (v.y - a.y) * dy) / (dx * dx + dy * dy)
+        for k, v in enumerate(P.vertices)
+        if k != i and k != j and point_segment_distance(v, seg) <= TAU_ONEDGE])
+    return all(P.contains(Point(a.x + 0.5 * (s + t) * dx,
+                                a.y + 0.5 * (s + t) * dy)) >= 0
+               for s, t in zip(ts, ts[1:]))
 
 
 def _classify_pair(P: Polygon, ui: int, wi: int, ang: float) -> EventType:
@@ -193,7 +209,6 @@ class _Frozen:
     """
 
     x: float
-    res: SolveResult
     S: FrozenStructure
     sig: tuple
 
@@ -202,7 +217,7 @@ class _Frozen:
 
 
 def _frozen_at(P: Polygon, x: float, res: SolveResult) -> _Frozen:
-    return _Frozen(x + math.remainder(res.theta.degrees - x, 180.0), res,
+    return _Frozen(x + math.remainder(res.theta.degrees - x, 180.0),
                    freeze_structure(P, res), structure_signature(res))
 
 
@@ -273,10 +288,8 @@ def _crossed_vertex(n: int, e_old: int, e_new: int) -> Optional[int]:
     return None
 
 
-def _classify_split(P: Polygon, res_a: SolveResult,
-                    res_b: SolveResult) -> EventType:
-    sa = structure_signature(res_a)
-    sb = structure_signature(res_b)
+def _classify_split(P: Polygon, sa: tuple, sb: tuple) -> EventType:
+    """The event between two structure signatures."""
     ga, gb = sa[2], sb[2]
     if ga != gb:
         if len(ga) != len(gb) or sa[1] != sb[1]:
@@ -379,7 +392,7 @@ def _bisect_change(P: Polygon, known: _Structures, a: float, fa: _Frozen,
         if exc.event_type is not None:
             return 0.5 * (lo + hi), exc.event_type, exc.witness
         witness = exc.witness
-    return 0.5 * (lo + hi), _classify_split(P, f_lo.res, f_hi.res), witness
+    return 0.5 * (lo + hi), _classify_split(P, f_lo.sig, f_hi.sig), witness
 
 
 def _scan_interval(P: Polygon, lo: float, hi: float, cfg: SweepConfig,

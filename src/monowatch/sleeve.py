@@ -15,7 +15,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .gates import Gate, ReducedPolygon
+from .cuts import ThetaCut
+from .gates import ReducedPolygon
 from .geom import (
     T_IDENTITY,
     TAG_TOL,
@@ -220,7 +221,7 @@ class Sleeve:
     panels: Tuple[Panel, ...]
     portals: Tuple[Portal, ...]
     mirrors: Tuple[Segment, ...]
-    gates: Tuple[Gate, ...]
+    gates: Tuple[ThetaCut, ...]
     transforms: Tuple[tuple, ...]
     source: Point
     image: Point
@@ -480,12 +481,7 @@ class TourTag:
 
     kind: str  # "stable" or "moving"
     vertex_index: Optional[int] = None  # source polygon vertex for stable tags
-    gate: Optional[Gate] = None  # touched gate for moving tags
-
-    def describe(self) -> str:
-        if self.kind == "stable":
-            return f"stable at vertex {self.vertex_index}"
-        return "moving on " + (self.gate.describe() if self.gate else "?")
+    gate: Optional[ThetaCut] = None  # touched gate for moving tags
 
 
 @dataclass
@@ -510,12 +506,12 @@ def tour_length(cycle: Sequence[Point]) -> float:
     return total
 
 
-def chord_tag(p: Point, gate: Gate) -> TourTag:
+def chord_tag(p: Point, gate: ThetaCut) -> TourTag:
     """Tag of a tour point on a gate chord: stable at the first reflex
     vertex within TAG_TOL of it, else moving on the gate.  Only the
     gate's own vertex can be that close, except near an event angle;
-    ``gate.cut.near`` holds every reflex vertex that can."""
-    for vi, q in gate.cut.near:
+    ``gate.near`` holds every reflex vertex that can."""
+    for vi, q in gate.near:
         if _dist2(q, p) <= TAG_TOL * TAG_TOL:
             return TourTag("stable", vertex_index=vi)
     return TourTag("moving", gate=gate)
@@ -551,7 +547,7 @@ def fold_back(sleeve: Sleeve, path: Sequence[Point]) -> Tour:
             if point_segment_distance(p0, m) > TAU_ONEDGE:
                 raise GeometryError("degenerate path misses a mirror")
         origin = rp.origins[sleeve.source_index]
-        tag = (chord_tag(p0, origin) if isinstance(origin, Gate)
+        tag = (chord_tag(p0, origin) if isinstance(origin, ThetaCut)
                else TourTag("stable", vertex_index=origin))
         return Tour((p0,), (tag,), 0.0, theta)
 
@@ -662,7 +658,7 @@ def fold_back(sleeve: Sleeve, path: Sequence[Point]) -> Tour:
     stable: Dict[int, TourTag] = {}
     tags = []
     for p, o in zip(cycle, kept):
-        if isinstance(o, Gate):
+        if isinstance(o, ThetaCut):
             tags.append(chord_tag(p, o))
             continue
         tag = stable.get(o)

@@ -14,7 +14,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from .cuts import CutKind, ThetaCut, compute_cuts
 from .gates import (
-    Gate,
     ReducedPolygon,
     boundary_arc,
     compute_gates,
@@ -54,7 +53,7 @@ class MaximalMovingSubpath:
 
     indices: Tuple[int, ...]
     moving_indices: Tuple[int, ...]
-    gates: Tuple[Gate, ...]
+    gates: Tuple[ThetaCut, ...]
     cyclic: bool
 
     @property
@@ -73,7 +72,7 @@ class SolveResult:
 
     tour: Tour
     cuts: Tuple[ThetaCut, ...]
-    gates: Tuple[Gate, ...]
+    gates: Tuple[ThetaCut, ...]
     candidates: Tuple[Point, ...]
     subpaths: Tuple[MaximalMovingSubpath, ...]
     theta: Angle
@@ -83,8 +82,8 @@ class SolveResult:
     rivals: Tuple[Tour, ...] = ()
 
 
-def _gate_key(g: Gate) -> Tuple[int, int]:
-    return (g.cut.vertex_index, 0 if g.cut.kind is CutKind.FORWARD else 1)
+def _gate_key(g: ThetaCut) -> Tuple[int, int]:
+    return (g.vertex_index, 0 if g.kind is CutKind.FORWARD else 1)
 
 
 def _lowest_leftmost_index(P: Polygon) -> int:
@@ -96,8 +95,8 @@ def _lowest_leftmost_index(P: Polygon) -> int:
     return best
 
 
-def _common_tour_point(P: Polygon,
-                       gates: Sequence[Gate]) -> Optional[Tuple[Point, Gate]]:
+def _common_tour_point(P: Polygon, gates: Sequence[ThetaCut]
+                       ) -> Optional[Tuple[Point, ThetaCut]]:
     """A point of some gate chord lying in every other gate's region,
     with the gate whose chord it was taken from.
 
@@ -106,7 +105,7 @@ def _common_tour_point(P: Polygon,
     candidate wins, closest to its vertex end first.  A chord end is
     placed by its boundary key, the midpoint by both keys of its chord.
     """
-    arcs = [boundary_arc(P, g.cut) for g in gates]
+    arcs = [boundary_arc(P, g) for g in gates]
 
     def in_all_others(keys: Tuple[float, ...], skip: int) -> bool:
         return all(in_arc(k, arc, P.n) for j, arc in enumerate(arcs)
@@ -120,7 +119,7 @@ def _common_tour_point(P: Polygon,
                     cands.append((Point(q[0], q[1]), (k,), h))
         feasible = [(q, h) for q, keys, h in cands if in_all_others(keys, gi)]
         if feasible:
-            v = g.cut.vertex
+            v = g.vertex
             return min(feasible, key=lambda qh: math.dist(qh[0], v))
     return None
 
@@ -139,17 +138,17 @@ def _same_color_picks(rp: ReducedPolygon) -> List[int]:
     reflex = set(rp.source.reflex_indices)
     picks: List[int] = []
     for (ei, gi), (ej, gj) in zip(ess, ess[1:] + ess[:1]):
-        if gi.cut.color is not gj.cut.color:
+        if gi.color is not gj.color:
             continue
         interior = _arc_interior(rp, ei, ej)
         if not interior:
             continue
-        d = gi.cut.direction()
+        d = gi.direction()
         nx, ny = -d.y, d.x
 
         # only a source vertex can be reflex; a far end's origin is a gate
         pool = [idx for idx in interior
-                if not isinstance(rp.origins[idx], Gate)
+                if not isinstance(rp.origins[idx], ThetaCut)
                 and rp.origins[idx] in reflex]
         if not pool:
             pool = interior
@@ -181,7 +180,7 @@ def _candidate_indices(rp: ReducedPolygon, tri: Triangulation,
         raise GeometryError("candidate generation needs at least two "
                             "essential edges")
 
-    colors = {g.cut.color for _, g in rp.essential}
+    colors = {g.color for _, g in rp.essential}
     if k == 2 and len(colors) == 1:
         picks = _same_color_picks(rp)
         if len(picks) == 2:
@@ -194,7 +193,7 @@ def _candidate_indices(rp: ReducedPolygon, tri: Triangulation,
     out: List[int] = []
     for ei, g in sorted(rp.essential, key=lambda pair: _gate_key(pair[1])):
         a, b = ei, (ei + 1) % m
-        out.extend((a, b) if rp.origins[a] == g.cut.vertex_index else (b, a))
+        out.extend((a, b) if rp.origins[a] == g.vertex_index else (b, a))
     # copy 0 of a sleeve holds the reduced vertices themselves
     index = {p: i for i, p in enumerate(poly.vertices)}
     # last bend of each endpoint's taut path before it first leaves copy 0
@@ -339,10 +338,10 @@ def decompose_subpaths(tour: Tour) -> List[MaximalMovingSubpath]:
         if sub.cyclic and len(gs) > 1:
             pairs.append((gs[-1], gs[0]))
         for a, b in pairs:
-            if a.cut.color is b.cut.color:
+            if a.color is b.color:
                 raise GeometryError(
                     "consecutive moving vertices share the gate color "
-                    f"{a.cut.color.value}; persistence structure violated")
+                    f"{a.color.value}; persistence structure violated")
         return sub
 
     if not stable:

@@ -117,7 +117,7 @@ def test_criterion_3_moving_runs_short_and_alternating():
         for th, res in sols:
             for sp in decompose_subpaths(res.tour):
                 assert sp.moving_count <= 3
-                colors = [g.cut.color for g in sp.gates]
+                colors = [g.color for g in sp.gates]
                 pairs = list(zip(colors, colors[1:]))
                 if sp.cyclic and len(colors) > 1:
                     pairs.append((colors[-1], colors[0]))
@@ -155,7 +155,7 @@ def _assert_reflection_angles(tour, tol_rad=1e-6):
     for i, (p, tag) in enumerate(zip(tour.cycle, tour.tags)):
         if tag.kind != "moving" or tag.gate is None:
             continue
-        chord = tag.gate.cut.chord
+        chord = tag.gate.chord
         if (math.dist(p, chord.a) <= 1e-6
                 or math.dist(p, chord.b) <= 1e-6):
             continue
@@ -201,7 +201,7 @@ def test_criterion_5_matches_reference_oracle(square, unotch, double,
             # vertex have no grid tour at all and give it nothing to say
             continue
         if res.gates:
-            slack = 2.0 * max(g.cut.chord.length()
+            slack = 2.0 * max(g.chord.length()
                               for g in res.gates) / 200.0
         else:
             slack = 0.0

@@ -113,6 +113,17 @@ def test_verify_point_tour(tmp_path, capsys):
     assert rc == 0
 
 
+def test_verify_rejects_vertex_outside_polygon(tmp_path, capsys):
+    poly = _write_polygon(tmp_path, DOUBLE_PTS)
+    tour = tmp_path / "tour.json"
+    tour.write_text(json.dumps([[4.0, 1.0], [6.0, 3.0]]))
+    rc, out, err = _run(capsys, ["verify", "--polygon", poly,
+                                 "--theta-deg", "0.5", "--tour", str(tour)])
+    assert rc == 3
+    assert ("invalid: tour vertex (6.000000,3.000000) lies outside the "
+            "polygon") in err
+
+
 def test_exit_one_on_bad_inputs(tmp_path, capsys):
     good = _write_polygon(tmp_path, SQUARE_PTS)
     bad_json = tmp_path / "bad.json"
@@ -212,6 +223,18 @@ def test_optimize_respects_config(tmp_path, capsys):
     rc, out, _ = _run(capsys, ["optimize", "--polygon", poly])
     big = json.loads(out)["sample_count"]
     assert small < big
+
+
+def test_optimize_writes_svg(tmp_path, capsys):
+    poly = _write_polygon(tmp_path, DOUBLE_PTS)
+    out_svg = tmp_path / "best.svg"
+    rc, out, _ = _run(capsys, ["optimize", "--polygon", poly,
+                               "--svg", str(out_svg)])
+    assert rc == 0
+    assert json.loads(out)["best_length"] == 0.0
+    svg = out_svg.read_text()
+    assert svg.startswith("<svg ")
+    assert "<circle" in svg
 
 
 def test_sweep_csv(tmp_path, capsys):

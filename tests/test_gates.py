@@ -20,7 +20,6 @@ from monowatch import (
 from monowatch.cuts import ThetaCut
 from monowatch.gates import (
     AREA_CHECK_REL,
-    Gate,
     ReducedPolygon,
     _refuse_collinear_same_color,
     _removal_side,
@@ -75,10 +74,10 @@ def test_dominates_double_cases(double):
 def test_gates_double(double):
     cuts = compute_cuts(double, Angle(0.0))
     gates = compute_gates(double, cuts)
-    got = {(g.cut.vertex_index, g.cut.color.value, g.cut.kind.value,
-            g.gate_edge) for g in gates}
+    got = {(g.vertex_index, g.color.value, g.kind.value,
+            g.far_edge) for g in gates}
     assert got == {(2, "Red", "Backward", 6), (7, "Blue", "Backward", 1)}
-    chords = {tuple(sorted((tuple(g.cut.chord.a), tuple(g.cut.chord.b))))
+    chords = {tuple(sorted((tuple(g.chord.a), tuple(g.chord.b))))
               for g in gates}
     assert chords == {((2.5, 4.0), (6.0, 4.0)), ((2.0, 2.0), (5.5, 2.0))}
 
@@ -87,8 +86,8 @@ def test_gates_unotch(unotch):
     cuts = compute_cuts(unotch, Angle(0.0))
     gates = compute_gates(unotch, cuts)
     assert len(gates) == 2
-    assert all(tuple(g.gate_vertex) == (4.0, 2.0) for g in gates)
-    assert {g.cut.kind.value for g in gates} == {"Forward", "Backward"}
+    assert all(tuple(g.vertex) == (4.0, 2.0) for g in gates)
+    assert {g.kind.value for g in gates} == {"Forward", "Backward"}
 
 
 def test_gates_square(square):
@@ -100,10 +99,9 @@ def test_gate_wrapper_invariants(double, unotch, toothgap):
                   (toothgap, 130.0)):
         gates = compute_gates(P, compute_cuts(P, Angle(th)))
         for g in gates:
-            assert tuple(g.gate_vertex) == tuple(g.cut.vertex)
-            a = P.vertices[g.gate_edge]
-            b = P.vertices[(g.gate_edge + 1) % P.n]
-            far = g.cut.far_point
+            a = P.vertices[g.far_edge]
+            b = P.vertices[(g.far_edge + 1) % P.n]
+            far = g.far_point
             assert _seg_dist(far, a, b) <= TAU_ONEDGE
 
 
@@ -125,9 +123,9 @@ def test_gates_pairwise_nondominating():
         for g in gates:
             for h in gates:
                 if g is not h:
-                    assert not dominates(P, g.cut, h.cut)
+                    assert not dominates(P, g, h)
         # one vertex can issue two gates, so the bound is on gate vertices
-        gate_vertices = {g.cut.vertex_index for g in gates}
+        gate_vertices = {g.vertex_index for g in gates}
         assert len(gate_vertices) <= len(cuts) // 2
         assert len(cuts) // 2 <= len(P.reflex_indices)
 
@@ -136,11 +134,11 @@ def test_nongate_cuts_dominated_by_a_gate(double, unotch, toothgap):
     for P, th in ((double, 0.0), (unotch, 0.0), (toothgap, 10.0)):
         cuts = compute_cuts(P, Angle(th))
         gates = compute_gates(P, cuts)
-        gate_keys = {(g.cut.vertex_index, g.cut.kind) for g in gates}
+        gate_keys = {(g.vertex_index, g.kind) for g in gates}
         for c in cuts:
             if (c.vertex_index, c.kind) in gate_keys:
                 continue
-            assert any(dominates(P, g.cut, c) for g in gates)
+            assert any(dominates(P, g, c) for g in gates)
 
 
 def test_reduce_double(double):
@@ -223,12 +221,12 @@ def test_gates_match_ring_reference():
         cuts = res.cuts
         want = [c for c in cuts
                 if not any(_ring_dominates(P, o, c) for o in cuts if o is not c)]
-        assert [g.cut for g in compute_gates(P, cuts)] == want, (P, th)
-        assert [g.cut for g in res.gates] == want
+        assert compute_gates(P, cuts) == want, (P, th)
+        assert list(res.gates) == want
         if res.common_point is not None:
             with_common += 1
             for g in res.gates:
-                ring = left_region(P, g.cut)
+                ring = left_region(P, g)
                 assert ring_contains(ring, res.common_point) >= 0, (P, th)
         compared += 1
     assert compared >= 2000 and with_common > 0
@@ -287,7 +285,7 @@ def test_collinear_check_matches_pairwise_reference(toothgap):
     assert compared > 10000 and refused > 0
 
 
-def _reference_reduce_polygon(P: Polygon, gates: Sequence[Gate],
+def _reference_reduce_polygon(P: Polygon, gates: Sequence[ThetaCut],
                               theta: Optional[Angle] = None) -> ReducedPolygon:
     """Remove every gate's left region from P.
 
@@ -297,11 +295,11 @@ def _reference_reduce_polygon(P: Polygon, gates: Sequence[Gate],
     """
     gates = list(gates)
     if theta is None:
-        theta = gates[0].cut.theta if gates else Angle(0.0)
+        theta = gates[0].theta if gates else Angle(0.0)
     if not gates:
         return ReducedPolygon(P, (), theta, P, 0.0, tuple(range(P.n)))
 
-    arcs = [boundary_arc(P, g.cut) for g in gates]
+    arcs = [boundary_arc(P, g) for g in gates]
     removed_total = 0.0
     current = tuple(P.vertices)
     for gi, g in enumerate(gates):
@@ -338,9 +336,9 @@ def _reference_reduce_polygon(P: Polygon, gates: Sequence[Gate],
                 f"gate chord {g.describe()} is not an edge of the reduced "
                 "polygon")
     essential.sort(key=lambda pair: pair[0])
-    where: Dict[Point, Union[int, Gate]] = {}
+    where: Dict[Point, Union[int, ThetaCut]] = {}
     for g in gates:
-        where.setdefault(g.cut.far_point, g)
+        where.setdefault(g.far_point, g)
     where.update((p, i) for i, p in enumerate(P.vertices))
     try:
         origins = tuple(where[p] for p in reduced.vertices)
@@ -408,7 +406,7 @@ def test_reduce_matches_split_reference_on_hand_picked_cuts():
             cuts = compute_cuts(P, Angle(th))
             for r in (1, 2, 3):
                 for picked in permutations(cuts, r):
-                    gates = [Gate(c) for c in picked]
+                    gates = list(picked)
                     got = _reduction(reduce_polygon, P, gates, Angle(th))
                     assert got == _reduction(_reference_reduce_polygon, P,
                                              gates, Angle(th)), (pts, th)

@@ -40,6 +40,13 @@ def test_validate_rejects_outside_points(square):
         validate_tour(square, Angle(0.0), [(2.0, 2.0), (9.0, 2.0)])
 
 
+def test_validate_flags_edge_leaving_polygon(double):
+    rep = validate_tour(double, 0.5, [(4.0, 1.0), (7.5, 1.0)])
+    assert rep.valid is False
+    assert rep.messages[0] == ("tour edge leaves the polygon near "
+                               "(5.312500,1.000000)")
+
+
 def test_reference_matches_exact_double(double):
     ref = reference_min_tour(double, Angle(0.0), m=200)
     assert ref.length == pytest.approx(4.000028408272647, abs=1e-9)

@@ -86,7 +86,8 @@ def _reference_bisect(P, a, res_a, b, res_b, tol):
             lo, res_lo = mid, r
         else:
             hi, res_hi = mid, r
-    return 0.5 * (lo + hi), rotor._classify_split(P, res_lo, res_hi)
+    return 0.5 * (lo + hi), rotor._classify_split(
+        P, structure_signature(res_lo), structure_signature(res_hi))
 
 
 def _reference_scan(P, lo, hi, cfg, depth, state):
@@ -534,6 +535,14 @@ def test_enumerate_validity_multiplicity(unotch, double, spiral):
         assert n_val == 2 * len(P.reflex_indices)
 
 
+def test_enumerate_drops_pairs_leaving_through_a_vertex():
+    """(10,8)-(14,12) and (10,6)-(14,2) have a reflex vertex at their
+    midpoints and leave the corridor on both sides of it."""
+    ws = {e.witnesses for e in enumerate_candidate_events(spiral_corridor(0))}
+    assert not ws & {(9, 13), (13, 9), (10, 14), (14, 10)}
+    assert {(9, 6), (10, 5)} <= ws
+
+
 def test_frozen_structure_matches_fresh_solves(double):
     res = solve_theta(double, Angle(165.8))
     S = freeze_structure(double, res)
@@ -635,12 +644,12 @@ def test_moving_vertices_touch_only_far_ends(corpus_solves):
         for tour in (res.tour,) + tuple(res.rivals):
             for p, t in zip(tour.cycle, tour.tags):
                 if t.kind == "moving":
-                    v = t.gate.cut.vertex
+                    v = t.gate.vertex
                     assert math.dist(p, v) > TAG_TOL, (th, p)
-        touches = {(t.gate.cut.vertex_index, t.gate.cut.kind.value, "far")
+        touches = {(t.gate.vertex_index, t.gate.kind.value, "far")
                    for p, t in zip(res.tour.cycle, res.tour.tags)
                    if t.kind == "moving"
-                   and kinetic._touches_far(p, t.gate.cut)}
+                   and kinetic._touches_far(p, t.gate)}
         assert structure_signature(res)[3] == tuple(sorted(touches)), th
         far += len(touches)
     assert far
@@ -776,6 +785,14 @@ def test_minimize_interval_wraps(double):
     assert ang.degrees == pytest.approx(20.0, abs=1e-3)
     fresh = solve_theta(double, ang).tour.length
     assert fresh == pytest.approx(val, abs=1e-9)
+
+
+def test_minimize_interval_narrower_than_refine_tol():
+    P = spiral_corridor(1)
+    theta, length = minimize_interval(P, 20.0, 20.0 + 5e-7)
+    assert theta.degrees == 20.00000025
+    assert length == 57.34039521165123
+    assert length == solve_theta(P, theta).tour.length
 
 
 def test_minimize_interval_rejects_empty(double):

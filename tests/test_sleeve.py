@@ -17,7 +17,8 @@ from monowatch import (
     triangulate,
     unroll,
 )
-from monowatch.gates import Gate, ReducedPolygon
+from monowatch.cuts import ThetaCut
+from monowatch.gates import ReducedPolygon
 from monowatch.geom import (
     T_IDENTITY,
     TAU_ONEDGE,
@@ -569,7 +570,7 @@ def _heron_angles_ok(tour, tol_rad=1e-6):
     for i, (p, tag) in enumerate(zip(tour.cycle, tour.tags)):
         if tag.kind != "moving" or tag.gate is None:
             continue
-        chord = tag.gate.cut.chord
+        chord = tag.gate.chord
         if (math.dist(p, chord.a) <= 1e-6
                 or math.dist(p, chord.b) <= 1e-6):
             continue  # endpoint touches reflect degenerately
@@ -613,7 +614,7 @@ def test_tour_structural_invariants(toothgap):
                 # allow rounding noise on the way back
                 assert min(math.dist(p, rv) for rv in reflex_pts) <= 1e-9
             elif tag.gate is not None:
-                chord = tag.gate.cut.chord
+                chord = tag.gate.chord
                 assert _seg_dist(p, chord.a, chord.b) <= TAU_ONEDGE
 
 
@@ -627,7 +628,7 @@ def _seg_dist(p, a, b):
 # Tagging by search and the fold that used it, kept as the reference
 # that tagging by identity must reproduce.
 
-def _reference_tag_point(p: Point, source: Polygon, gates: Sequence[Gate]) -> TourTag:
+def _reference_tag_point(p: Point, source: Polygon, gates: Sequence[ThetaCut]) -> TourTag:
     """Tag p stable at a reflex vertex of the source polygon, else moving
     on the first gate chord it touches, else stable at any vertex."""
     for vi in source.reflex_indices:

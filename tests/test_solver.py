@@ -60,10 +60,10 @@ def test_double_subpath_is_cyclic(double):
 def test_candidate_count_matches_gate_colors(toothgap):
     # two gates of one color leave exactly two starting candidates
     res = solve_theta(toothgap, Angle(10.0))
-    assert {g.cut.color.name for g in res.gates} == {"BLUE"}
+    assert {g.color.name for g in res.gates} == {"BLUE"}
     assert sorted(tuple(p) for p in res.candidates) == [(6.5, 6.0), (8.0, 8.0)]
     res = solve_theta(toothgap, Angle(130.0))
-    assert {g.cut.color.name for g in res.gates} == {"RED"}
+    assert {g.color.name for g in res.gates} == {"RED"}
     assert sorted(tuple(p) for p in res.candidates) == [(5.0, 8.0), (6.5, 6.0)]
 
 
@@ -162,7 +162,7 @@ def test_moving_vertices_locally_optimal():
             for i, tag in enumerate(res.tour.tags):
                 if tag.kind != "moving" or tag.gate is None:
                     continue
-                ch = tag.gate.cut.chord
+                ch = tag.gate.chord
                 ux, uy = ch.b.x - ch.a.x, ch.b.y - ch.a.y
                 un = math.hypot(ux, uy)
                 if un == 0.0:
