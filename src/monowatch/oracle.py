@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -53,6 +54,11 @@ class ValidationReport:
     messages: Tuple[str, ...] = ()
 
 
+def _check_count(name: str, value) -> None:
+    if not isinstance(value, numbers.Integral) or value < 2:
+        raise GeometryError(f"{name} must be an integer >= 2, got {value!r}")
+
+
 def _as_points(tour: Union[Tour, Sequence[PointLike]]) -> List[Point]:
     cycle = tour.cycle if isinstance(tour, Tour) else tour
     return [Point(float(p[0]), float(p[1])) for p in cycle]
@@ -67,8 +73,11 @@ def validate_tour(P: Polygon, theta: Union[Angle, float],
     A cut is covered when the tour meets the closed region left of the
     cut: some tour vertex lies in it, or some tour edge touches the
     chord.  Violations report the distance by which the tour misses the
-    chord.
+    chord.  Each tour edge is tested for leaving P at its
+    `edge_samples` − 1 interior division points, so `edge_samples`
+    must be an integer ≥ 2.
     """
+    _check_count("edge_samples", edge_samples)
     ang = theta if isinstance(theta, Angle) else Angle(theta)
     pts = _as_points(tour)
     if not pts:
@@ -140,7 +149,27 @@ def _chord_samples(cut: ThetaCut, m: int) -> np.ndarray:
 
 
 def _segment_mask(P: Polygon, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Which straight segments A[i] -> B[j] stay inside the polygon."""
+    """Which straight segments A[i] -> B[j] stay inside the polygon.
+
+    A segment is refused when it properly crosses an edge, or when its
+    midpoint lies outside the polygon and farther than 10·TAU_ONEDGE
+    from every edge.  Edges that cannot change the mask are skipped,
+    and each skip is exact, so the mask equals the one that tests every
+    edge against every segment:
+
+    - Crossing: a segment properly crosses edge k only where
+      d1[i]·d2[j] < −1e-12.  Rounded multiplication is monotone in each
+      factor, so the smallest of these products is one of the four
+      products of the extremes of d1 and d2; when that corner minimum
+      is ≥ −1e-12 no segment crosses edge k and its o1/o2 work is
+      skipped.
+    - Ray cast: an edge toggles `inside` only where exactly one of its
+      ends lies above the midpoint's y.  An edge with both ends above
+      My.max(), or both at or below My.min(), toggles no midpoint.
+    - Near: `ok &= inside | near` changes only the entries where ok
+      holds and inside does not, so `near` is computed on those
+      midpoints alone.
+    """
     verts = np.array(P.vertices)
     E0 = verts
     E1 = np.roll(verts, -1, axis=0)
@@ -160,6 +189,10 @@ def _segment_mask(P: Polygon, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         ey = qy - py
         d1 = ex * (Ay - py) - ey * (Ax - px)
         d2 = ex * (By - py) - ey * (Bx - px)
+        lo1, hi1 = d1.min(), d1.max()
+        lo2, hi2 = d2.min(), d2.max()
+        if min(lo1 * lo2, lo1 * hi2, hi1 * lo2, hi1 * hi2) >= -1e-12:
+            continue
         o1 = dx * (py - Ay) - dy * (px - Ax)
         o2 = dx * (qy - Ay) - dy * (qx - Ax)
         proper = (d1 * d2 < -1e-12) & (o1 * o2 < -1e-12)
@@ -168,16 +201,25 @@ def _segment_mask(P: Polygon, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     # that only touch the boundary at vertices)
     Mx = (Ax + Bx) / 2.0
     My = (Ay + By) / 2.0
+    ylo, yhi = My.min(), My.max()
     inside = np.zeros((mA, mB), dtype=bool)
-    near = np.zeros((mA, mB), dtype=bool)
     for k in range(len(verts)):
         px, py = E0[k]
         qx, qy = E1[k]
+        if (py > yhi and qy > yhi) or (py <= ylo and qy <= ylo):
+            continue
         cond = (py > My) != (qy > My)
         with np.errstate(divide="ignore", invalid="ignore"):
             xcross = px + (My - py) * (qx - px) / (qy - py)
         inside ^= cond & (Mx < xcross)
-        # distance of midpoints to this edge
+    # distance of the remaining midpoints to each edge
+    open_ = ok & ~inside
+    Mx = Mx[open_]
+    My = My[open_]
+    near = np.zeros(Mx.shape, dtype=bool)
+    for k in range(len(verts)):
+        px, py = E0[k]
+        qx, qy = E1[k]
         ex = qx - px
         ey = qy - py
         L2 = ex * ex + ey * ey
@@ -186,7 +228,7 @@ def _segment_mask(P: Polygon, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         ddx = Mx - (px + t * ex)
         ddy = My - (py + t * ey)
         near |= (ddx * ddx + ddy * ddy) <= (10 * TAU_ONEDGE) ** 2
-    ok &= inside | near
+    ok[open_] = near
     return ok
 
 
@@ -205,8 +247,10 @@ def reference_min_tour(P: Polygon, theta: Union[Angle, float],
     touch points join by straight segments masked to stay inside the
     polygon; all cyclic visiting orders are tried.  The result length
     is an upper bound on the true optimum; `slack` bounds how far above
-    the optimum the grid restriction alone can push it.
+    the optimum the grid restriction alone can push it.  `m`, the
+    number of samples per chord, must be an integer ≥ 2.
     """
+    _check_count("m", m)
     ang = theta if isinstance(theta, Angle) else Angle(theta)
     cuts = compute_cuts(P, ang)
     gates = compute_gates(P, cuts)

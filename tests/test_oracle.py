@@ -1,15 +1,25 @@
 import math
+import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from monowatch import Angle, GeometryError, solve_theta
+from monowatch import Angle, GeometryError, oracle, solve_theta
+from monowatch.geom import TAU_ONEDGE, Polygon
 from monowatch.oracle import (
     dense_sweep,
     reference_min_tour,
     validate_tour,
 )
 
-from conftest import notched_polygon, star_polygon
+from conftest import (
+    corpus_polygon,
+    mixed_corpus,
+    notched_polygon,
+    spiral_corridor,
+    star_polygon,
+)
 
 
 def test_validate_accepts_solver_output(double):
@@ -45,6 +55,21 @@ def test_validate_flags_edge_leaving_polygon(double):
     assert rep.valid is False
     assert rep.messages[0] == ("tour edge leaves the polygon near "
                                "(5.312500,1.000000)")
+
+
+@pytest.mark.parametrize("samples", [1, 0, -1, 2.5])
+def test_validate_refuses_too_few_edge_samples(double, samples):
+    # with fewer than two samples no interior point of an edge would be
+    # tested, and this tour, which leaves the polygon, would pass
+    with pytest.raises(GeometryError, match="edge_samples"):
+        validate_tour(double, 0.5, [(4.0, 1.0), (7.5, 1.0)],
+                      edge_samples=samples)
+
+
+@pytest.mark.parametrize("m", [1, 0, -3, 2.5])
+def test_reference_refuses_bad_sample_count(double, m):
+    with pytest.raises(GeometryError, match="^m must be an integer"):
+        reference_min_tour(double, Angle(0.0), m=m)
 
 
 def test_reference_matches_exact_double(double):
@@ -121,3 +146,114 @@ def test_jittered_polygon_deterministic():
     assert [tuple(p) for p in a.vertices] == [tuple(p) for p in b.vertices]
     c = star_polygon(8, 4)
     assert [tuple(p) for p in a.vertices] != [tuple(p) for p in c.vertices]
+
+
+# ---------------------------------------------------------------------------
+# the pruned segment mask against the mask that tests every edge
+
+
+def _reference_segment_mask(P: Polygon, A: np.ndarray,
+                            B: np.ndarray) -> np.ndarray:
+    """Which straight segments A[i] -> B[j] stay inside the polygon."""
+    verts = np.array(P.vertices)
+    E0 = verts
+    E1 = np.roll(verts, -1, axis=0)
+    mA = A.shape[0]
+    mB = B.shape[0]
+    ok = np.ones((mA, mB), dtype=bool)
+    Ax = A[:, 0][:, None]
+    Ay = A[:, 1][:, None]
+    Bx = B[:, 0][None, :]
+    By = B[:, 1][None, :]
+    dx = Bx - Ax
+    dy = By - Ay
+    for k in range(len(verts)):
+        px, py = E0[k]
+        qx, qy = E1[k]
+        ex = qx - px
+        ey = qy - py
+        d1 = ex * (Ay - py) - ey * (Ax - px)
+        d2 = ex * (By - py) - ey * (Bx - px)
+        o1 = dx * (py - Ay) - dy * (px - Ax)
+        o2 = dx * (qy - Ay) - dy * (qx - Ax)
+        proper = (d1 * d2 < -1e-12) & (o1 * o2 < -1e-12)
+        ok &= ~proper
+    # midpoints must not fall outside (catches segments through notches
+    # that only touch the boundary at vertices)
+    Mx = (Ax + Bx) / 2.0
+    My = (Ay + By) / 2.0
+    inside = np.zeros((mA, mB), dtype=bool)
+    near = np.zeros((mA, mB), dtype=bool)
+    for k in range(len(verts)):
+        px, py = E0[k]
+        qx, qy = E1[k]
+        cond = (py > My) != (qy > My)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xcross = px + (My - py) * (qx - px) / (qy - py)
+        inside ^= cond & (Mx < xcross)
+        # distance of midpoints to this edge
+        ex = qx - px
+        ey = qy - py
+        L2 = ex * ex + ey * ey
+        t = ((Mx - px) * ex + (My - py) * ey) / L2
+        t = np.clip(t, 0.0, 1.0)
+        ddx = Mx - (px + t * ex)
+        ddy = My - (py + t * ey)
+        near |= (ddx * ddx + ddy * ddy) <= (10 * TAU_ONEDGE) ** 2
+    ok &= inside | near
+    return ok
+
+
+MASK_POLYGONS = ([corpus_polygon(s) for s in range(9)]
+                 + [notched_polygon(s) for s in range(5)]
+                 + [spiral_corridor(s) for s in range(4)])
+
+
+def _mask_points(P: Polygon, draw, label: str) -> np.ndarray:
+    """Up to 12 points: anywhere in P's bounding box, at a vertex's
+    height, on a vertex or on an edge midpoint, so that segments touch
+    the boundary and midpoints sit level with vertices."""
+    vs = P.vertices
+    n = len(vs)
+    x0, x1 = min(v.x for v in vs), max(v.x for v in vs)
+    y0, y1 = min(v.y for v in vs), max(v.y for v in vs)
+    unit = st.floats(min_value=0.0, max_value=1.0)
+    point = st.one_of(
+        st.tuples(unit, unit).map(
+            lambda uv: (x0 + uv[0] * (x1 - x0), y0 + uv[1] * (y1 - y0))),
+        st.tuples(unit, st.integers(0, n - 1)).map(
+            lambda uk: (x0 + uk[0] * (x1 - x0), vs[uk[1]].y)),
+        st.integers(0, n - 1).map(lambda k: (vs[k].x, vs[k].y)),
+        st.integers(0, n - 1).map(
+            lambda k: ((vs[k].x + vs[(k + 1) % n].x) / 2.0,
+                       (vs[k].y + vs[(k + 1) % n].y) / 2.0)))
+    pts = draw(st.lists(point, min_size=1, max_size=12), label=label)
+    return np.array(pts, dtype=float)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_segment_mask_equals_unpruned_mask(data):
+    P = data.draw(st.sampled_from(MASK_POLYGONS), label="polygon")
+    A = _mask_points(P, data.draw, "A")
+    B = _mask_points(P, data.draw, "B")
+    assert np.array_equal(oracle._segment_mask(P, A, B),
+                          _reference_segment_mask(P, A, B))
+
+
+def _reference_answer(P: Polygon, theta: float):
+    try:
+        ref = reference_min_tour(P, Angle(theta), m=60)
+    except GeometryError as exc:
+        return str(exc)
+    return ref.length, ref.slack, ref.order, ref.points
+
+
+def test_reference_answers_equal_unpruned_mask(monkeypatch):
+    cases = [(P, random.Random(i).uniform(0.0, 180.0))
+             for i, P in enumerate(mixed_corpus(200))]
+    cases += [(spiral_corridor(s), th)
+              for s in range(8) for th in (10.0, 40.0, 130.0)]
+    pruned = [_reference_answer(P, th) for P, th in cases]
+    monkeypatch.setattr(oracle, "_segment_mask", _reference_segment_mask)
+    assert pruned == [_reference_answer(P, th) for P, th in cases]
