@@ -8,10 +8,11 @@ from .cuts import (
     VertexClass,
     classify_vertex,
     compute_cuts,
+    dominates,
     left_region,
     left_region_contains,
 )
-from .gates import ReducedPolygon, compute_gates, dominates, reduce_polygon
+from .gates import ReducedPolygon, compute_gates, reduce_polygon
 from .geom import (
     Angle,
     EventAngleError,

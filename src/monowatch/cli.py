@@ -97,6 +97,8 @@ def load_polygon(path: str) -> Tuple[Polygon, Optional[str]]:
     elif isinstance(doc, dict):
         raw = doc.get("vertices")
         name = doc.get("name")
+        if name is not None and not isinstance(name, str):
+            raise _InputError(f"{path}: name must be a string or null")
     else:
         raise _InputError(f"{path}: expected an object with a vertices list")
     if not isinstance(raw, list) or len(raw) < 3:

@@ -5,6 +5,13 @@ strictly on one side of the line through it issues two directed cuts
 along the maximal chord in that direction: a forward cut leaving the
 vertex and a backward cut arriving at it.  Everything downstream (gates,
 reduction, the rotating sweep) consumes these cuts.
+
+Cuts at one angle are parallel chords that never cross, so a cut's left
+region is known by its boundary arc (``boundary_arc``), the
+counterclockwise stretch of boundary between the chord's ends, keyed by
+boundary position.  Regions are compared by their arcs, and the one
+boundary walk (``boundary_walk``) turns an arc into the region's ring
+(``left_region``) or the polygon into its reduction.
 """
 
 from __future__ import annotations
@@ -26,7 +33,6 @@ from .geom import (
     chords_at,
     ring_contains,
     settle_chord,
-    split_ring,
 )
 
 
@@ -204,14 +210,92 @@ def compute_cuts(P: Polygon, theta: Angle,
     return out
 
 
-def left_region(P: Polygon, cut: ThetaCut) -> tuple:
+def boundary_arc(P: Polygon, cut: ThetaCut) -> Tuple[float, float]:
+    """Boundary part of the cut's left region as (start, end) keys.
+
+    The arc runs counterclockwise from ``chord.b`` to ``chord.a``.  A
+    boundary position is keyed ``edge + t``: the vertex end sits at
+    ``vertex_index`` and the far end at ``far_edge`` plus the parameter
+    of the far point on that edge.
+    """
+    a = P.vertices[cut.far_edge]
+    b = P.vertices[(cut.far_edge + 1) % P.n]
+    p = cut.far_point
+    dx, dy = b.x - a.x, b.y - a.y
+    t = ((p.x - a.x) * dx + (p.y - a.y) * dy) / (dx * dx + dy * dy)
+    far = (cut.far_edge + t) % P.n
+    v = float(cut.vertex_index)
+    return (far, v) if cut.kind is CutKind.FORWARD else (v, far)
+
+
+def in_arc(key: float, arc: Tuple[float, float], n: int) -> bool:
+    """Whether a boundary key lies in the closed arc."""
+    return (key - arc[0]) % n <= (arc[1] - arc[0]) % n
+
+
+def _strictly_within(inner: Tuple[float, float], outer: Tuple[float, float],
+                     n: int) -> bool:
+    s = outer[0]
+    return inner != outer and ((inner[0] - s) % n <= (inner[1] - s) % n
+                               <= (outer[1] - s) % n)
+
+
+def dominates(P: Polygon, c1: ThetaCut, c2: ThetaCut) -> bool:
+    """True when the left region of c1 is strictly inside that of c2.
+
+    Cuts at one angle are parallel chords that never cross, so their
+    left regions are nested, disjoint or cover P together, and region
+    inclusion is arc inclusion; two arcs inside each other are equal.
+    Cuts at different angles cannot be compared.
+    """
+    if c1.theta.degrees != c2.theta.degrees:
+        raise GeometryError("cannot compare cuts at different angles")
+    return _strictly_within(boundary_arc(P, c1), boundary_arc(P, c2), P.n)
+
+
+def snap_key(P: Polygon, q: Point, key: float) -> float:
+    """Walk key of a chord end q with boundary key ``key``: within
+    TAU_ONEDGE of a vertex of its edge it takes that vertex's key, so
+    the walk neither emits the vertex nor keeps a sliver edge to it."""
+    for j in (int(key) % P.n, (int(key) + 1) % P.n):
+        dx, dy = q[0] - P.vertices[j][0], q[1] - P.vertices[j][1]
+        if dx * dx + dy * dy <= TAU_ONEDGE * TAU_ONEDGE:
+            return float(j)
+    return key
+
+
+def boundary_walk(P: Polygon, a: tuple, b: tuple) -> list:
+    """(point, origin) from chord end a to chord end b, each given as
+    (walk key, point, origin), with the polygon vertices strictly
+    between them on the counterclockwise boundary and their indices."""
+    stop = b[0] if b[0] >= a[0] else b[0] + P.n
+    inner = (i % P.n for i in range(int(a[0]) + 1, math.ceil(stop)))
+    return [a[1:], *((P.vertices[i], i) for i in inner), b[1:]]
+
+
+def left_region(P: Polygon, cut: ThetaCut) -> Tuple[Point, ...]:
     """Closed region of P locally left of the directed cut, as a CCW ring.
 
-    The ring walks the polygon boundary counterclockwise from the cut's
-    head back to its tail and is closed by the chord itself.
+    The ring walks the cut's boundary arc from the chord's head to its
+    tail and is closed by the chord itself.  A point within TAU_ONEDGE
+    of the one before it, or of the first, collapses into it.
     """
-    left, _right = split_ring(P.vertices, cut.chord.a, cut.chord.b)
-    return left
+    ends = [(snap_key(P, q, k), q, None)  # the arc runs from b to a
+            for q, k in zip(cut.chord[::-1], boundary_arc(P, cut))]
+    tol2 = TAU_ONEDGE * TAU_ONEDGE
+    ring: List[Point] = []
+    for q, _ in boundary_walk(P, *ends):
+        if not ring or _dist2(ring[-1], q) > tol2:
+            ring.append(q)
+    while len(ring) > 1 and _dist2(ring[0], ring[-1]) <= tol2:
+        ring.pop()
+    if len(ring) < 3:
+        raise GeometryError(f"left region of {cut.describe()} is degenerate")
+    return tuple(ring)
+
+
+def _dist2(p: Point, q: Point) -> float:
+    return (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
 
 
 def left_region_contains(P: Polygon, cut: ThetaCut, p: Point,

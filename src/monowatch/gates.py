@@ -5,14 +5,12 @@ cuts at the same angle.  Touring every gate chord is enough to see the
 whole polygon, so the solver only keeps the part of the polygon on the
 non-left side of each gate.
 
-Cuts at one angle are parallel chords that never cross, so a left
-region is known by its boundary arc (``boundary_arc``): gates are
-compared, and the polygon reduced, by positions along the boundary.
+Gates are compared by their boundary arcs and the polygon is reduced by
+the boundary walk, both from ``cuts``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple, Union
 
@@ -25,53 +23,18 @@ from .geom import (
     Polygon,
     ring_area,
 )
-from .cuts import CutColor, CutKind, ThetaCut
+from .cuts import (
+    CutColor,
+    ThetaCut,
+    _strictly_within,
+    boundary_arc,
+    boundary_walk,
+    in_arc,
+    snap_key,
+)
 
 # relative slack for the area bookkeeping check in reduce_polygon
 AREA_CHECK_REL = 1e-6
-
-
-def boundary_arc(P: Polygon, cut: ThetaCut) -> Tuple[float, float]:
-    """Boundary part of the cut's left region as (start, end) keys.
-
-    The arc runs counterclockwise from ``chord.b`` to ``chord.a``.  A
-    boundary position is keyed ``edge + t``: the vertex end sits at
-    ``vertex_index`` and the far end at ``far_edge`` plus the parameter
-    of the far point on that edge.
-    """
-    a = P.vertices[cut.far_edge]
-    b = P.vertices[(cut.far_edge + 1) % P.n]
-    p = cut.far_point
-    dx, dy = b.x - a.x, b.y - a.y
-    t = ((p.x - a.x) * dx + (p.y - a.y) * dy) / (dx * dx + dy * dy)
-    far = (cut.far_edge + t) % P.n
-    v = float(cut.vertex_index)
-    return (far, v) if cut.kind is CutKind.FORWARD else (v, far)
-
-
-def in_arc(key: float, arc: Tuple[float, float], n: int) -> bool:
-    """Whether a boundary key lies in the closed arc."""
-    return (key - arc[0]) % n <= (arc[1] - arc[0]) % n
-
-
-def _strictly_within(inner: Tuple[float, float], outer: Tuple[float, float],
-                     n: int) -> bool:
-    s = outer[0]
-    return inner != outer and ((inner[0] - s) % n <= (inner[1] - s) % n
-                               <= (outer[1] - s) % n)
-
-
-def dominates(P: Polygon, c1: ThetaCut, c2: ThetaCut) -> bool:
-    """True when the left region of c1 is strictly inside that of c2.
-
-    Cuts at one angle are parallel chords that never cross, so their
-    left regions are nested, disjoint or cover P together, and region
-    inclusion is arc inclusion; two arcs inside each other are equal.
-    Cuts at different angles cannot be compared.
-    """
-    if c1.theta.degrees != c2.theta.degrees:
-        raise GeometryError("cannot compare cuts at different angles")
-    return _strictly_within(boundary_arc(P, c1), boundary_arc(P, c2), P.n)
 
 
 def _refuse_collinear_same_color(cuts: Sequence[ThetaCut]) -> None:
@@ -176,26 +139,12 @@ def _removal_side(arc: Tuple[float, float],
 
 
 def _chord_end(P: Polygon, q: Point, key: float, gates: Sequence[ThetaCut]):
-    """(key, point, origin) of a chord end on the walk.  Within
-    TAU_ONEDGE of a polygon vertex it takes that vertex's key and place;
-    its origin is the vertex it equals, else the first gate whose far
-    end it is."""
-    for j in (int(key) % P.n, (int(key) + 1) % P.n):
-        dx, dy = q[0] - P.vertices[j][0], q[1] - P.vertices[j][1]
-        if dx * dx + dy * dy <= TAU_ONEDGE * TAU_ONEDGE:
-            key = float(j)
-            if q == P.vertices[j]:
-                return key, q, j
-            break
-    return key, q, next(g for g in gates if g.far_point == q)
-
-
-def _run(P: Polygon, a: tuple, b: tuple) -> list:
-    """(point, origin) from chord end a to chord end b, with the polygon
-    vertices strictly between them on the counterclockwise boundary."""
-    stop = b[0] if b[0] >= a[0] else b[0] + P.n
-    inner = (i % P.n for i in range(int(a[0]) + 1, math.ceil(stop)))
-    return [a[1:], *((P.vertices[i], i) for i in inner), b[1:]]
+    """(walk key, point, origin) of a chord end.  Its origin is the
+    vertex it equals, else the first gate whose far end it is."""
+    key = snap_key(P, q, key)
+    j = int(key) % P.n
+    return key, q, (j if q == P.vertices[j]
+                    else next(g for g in gates if g.far_point == q))
 
 
 def reduce_polygon(P: Polygon, gates: Sequence[ThetaCut],
@@ -219,13 +168,14 @@ def reduce_polygon(P: Polygon, gates: Sequence[ThetaCut],
                 for q, k in zip(g.chord[::-1], arcs[gi])]
         if _removal_side(arcs[gi], arcs[:gi] + arcs[gi + 1:], P.n) == "right":
             ends.reverse()
-        removed_total += abs(ring_area([q for q, _ in _run(P, *ends)]))
+        removed = [q for q, _ in boundary_walk(P, *ends)]
+        removed_total += abs(ring_area(removed))
         stretches.append((*ends, g))
     before = stretches[-1][1]
     walk = sorted(stretches[:-1], key=lambda st: (st[0][0] - before[0]) % P.n)
     pts, origins, essential = [], [], []
     for start, end, g in walk + stretches[-1:]:
-        for q, origin in _run(P, before, start):
+        for q, origin in boundary_walk(P, before, start):
             # a point within TAU_ONEDGE of the one before collapses into it
             if not pts or ((pts[-1][0] - q[0]) ** 2 + (pts[-1][1] - q[1]) ** 2
                            > TAU_ONEDGE * TAU_ONEDGE):

@@ -280,27 +280,24 @@ def reference_min_tour(P: Polygon, theta: Union[Angle, float],
             masks[key] = d
         return masks[key]
 
-    if K == 2:
-        orders = [(0, 1)]
-    else:
-        seen = set()
-        orders = []
-        for rest in itertools.permutations(range(1, K)):
-            o = (0,) + rest
-            canon = min(o, (0,) + tuple(reversed(rest)))
-            if canon not in seen:
-                seen.add(canon)
-                orders.append(o)
+    seen = set()
+    orders = []
+    for rest in itertools.permutations(range(1, K)):
+        o = (0,) + rest
+        canon = min(o, (0,) + tuple(reversed(rest)))
+        if canon not in seen:
+            seen.add(canon)
+            orders.append(o)
 
     best = math.inf
     best_order: Tuple[int, ...] = ()
     best_points: Tuple[Point, ...] = ()
     for order in orders:
         D = cost(order[0], order[1])
-        trace = [D.copy()]
+        trace = [D]
         for s in range(1, K - 1):
             D = _minplus(D, cost(order[s], order[s + 1]))
-            trace.append(D.copy())
+            trace.append(D)
         total = D + cost(order[K - 1], order[0]).T
         idx = np.unravel_index(np.argmin(total), total.shape)
         val = float(total[idx])
@@ -329,7 +326,17 @@ def reference_min_tour(P: Polygon, theta: Union[Angle, float],
 
 def dense_sweep(P: Polygon, step_deg: float = 0.25,
                 lo: float = 0.0, hi: float = 180.0) -> List[Tuple[float, float]]:
-    """Solve on a simple grid of angles, nudging off event angles."""
+    """Solve on a simple grid of angles, nudging off event angles.
+
+    `step_deg` must be finite and positive and `lo` and `hi` finite, or
+    the grid would never end.
+    """
+    if not (math.isfinite(step_deg) and step_deg > 0.0):
+        raise GeometryError(
+            f"step_deg must be finite and positive, got {step_deg!r}")
+    for name, value in (("lo", lo), ("hi", hi)):
+        if not math.isfinite(value):
+            raise GeometryError(f"{name} must be finite, got {value!r}")
     out: List[Tuple[float, float]] = []
     k = 0
     while True:

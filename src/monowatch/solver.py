@@ -12,14 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .cuts import CutKind, ThetaCut, compute_cuts
-from .gates import (
-    ReducedPolygon,
-    boundary_arc,
-    compute_gates,
-    in_arc,
-    reduce_polygon,
-)
+from .cuts import CutKind, ThetaCut, boundary_arc, compute_cuts, in_arc
+from .gates import ReducedPolygon, compute_gates, reduce_polygon
 from .geom import (
     TAU_ONEDGE,
     Angle,

@@ -7,13 +7,15 @@ module name of its own, since ``perfbench`` is not a package.
 """
 
 import importlib.util
+import math
 import random
 from pathlib import Path
+from typing import Sequence
 
 import pytest
 
 from monowatch import Angle, EventAngleError, enumerate_candidate_events
-from monowatch.geom import GeometryError, Point, Polygon
+from monowatch.geom import TAU_ONEDGE, GeometryError, Point, Polygon
 
 
 def _load_inputs():
@@ -162,3 +164,86 @@ def corpus_solves():
         if res is not None:
             out.append((P, th, res))
     return out
+
+
+# The ring split that built left regions before they were walked from
+# boundary arcs, kept as the reference ``left_region`` and
+# ``reduce_polygon`` must reproduce bit for bit.
+
+def _reference_ring_locate(ring: Sequence[Point], p: Point, tol: float) -> tuple:
+    """Position of a boundary point as (edge_index, param in [0,1))."""
+    n = len(ring)
+    for i in range(n):
+        ax, ay = ring[i]
+        if (p[0] - ax) * (p[0] - ax) + (p[1] - ay) * (p[1] - ay) <= tol * tol:
+            return (i, 0.0)
+    best = None
+    for i in range(n):
+        ax, ay = ring[i]
+        bx, by = ring[(i + 1) % n]
+        dx = bx - ax
+        dy = by - ay
+        d2 = dx * dx + dy * dy
+        if d2 <= 0.0:
+            continue
+        t = ((p[0] - ax) * dx + (p[1] - ay) * dy) / d2
+        if t < 0.0 or t > 1.0:
+            continue
+        ex = p[0] - (ax + t * dx)
+        ey = p[1] - (ay + t * dy)
+        d = ex * ex + ey * ey
+        if d <= tol * tol and (best is None or d < best[0]):
+            best = (d, (i, t))
+    if best is None:
+        raise GeometryError(f"point {p} does not lie on the ring boundary")
+    return best[1]
+
+
+def _reference_split_ring(ring: Sequence[Point], a: Point, b: Point,
+               tol: float = TAU_ONEDGE) -> tuple:
+    """Split a CCW ring along the chord a-b into two CCW rings.
+
+    Returns (left, right) where left is the component locally to the
+    left of the directed chord a->b: its boundary runs counterclockwise
+    from b around to a and is closed by the chord edge a->b.  Both chord
+    endpoints must lie on the ring boundary.
+    """
+    n = len(ring)
+    ka = sum(_reference_ring_locate(ring, a, tol))
+    kb = sum(_reference_ring_locate(ring, b, tol))
+    # cyclic position keys: vertex i sits at key i, an interior point of
+    # edge i at key i + t
+    span_ba = (ka - kb) % n
+    span_ab = (kb - ka) % n
+    if span_ba <= 1e-12 or span_ab <= 1e-12:
+        raise GeometryError("chord endpoints coincide on the ring")
+
+    def collect(k_from, start_pt, span, end_pt):
+        pts = [start_pt]
+        base = int(math.floor(k_from))
+        for step in range(1, n + 1):
+            idx = (base + step) % n
+            off = (idx - k_from) % n
+            if off <= 1e-12:
+                continue
+            if off >= span - 1e-12:
+                break
+            pts.append(ring[idx])
+        pts.append(end_pt)
+        return pts
+
+    def dedupe(pts):
+        out: list = []
+        for p in pts:
+            if out and (out[-1][0] - p[0]) ** 2 + (out[-1][1] - p[1]) ** 2 <= tol * tol:
+                continue
+            out.append(Point(p[0], p[1]))
+        while len(out) > 1 and (out[0][0] - out[-1][0]) ** 2 + (out[0][1] - out[-1][1]) ** 2 <= tol * tol:
+            out.pop()
+        return tuple(out)
+
+    left = dedupe(collect(kb, b, span_ba, a))
+    right = dedupe(collect(ka, a, span_ab, b))
+    if len(left) < 3 or len(right) < 3:
+        raise GeometryError("chord split produced a degenerate component")
+    return left, right

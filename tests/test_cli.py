@@ -132,6 +132,13 @@ def test_exit_one_on_bad_inputs(tmp_path, capsys):
         tmp_path, [[0, 0], [2, 2], [2, 0], [0, 2]], name="bowtie.json")
     nan_tour = tmp_path / "nan_tour.json"
     nan_tour.write_text(json.dumps([[1, 1], [math.nan, 2]]))
+    # json reads 1e999 as inf and NaN as nan, which it cannot print back
+    inf_name = tmp_path / "inf_name.json"
+    inf_name.write_text('{"name": 1e999, "vertices": %s}'
+                        % json.dumps(SQUARE_PTS))
+    nan_name = tmp_path / "nan_name.json"
+    nan_name.write_text('{"name": NaN, "vertices": %s}'
+                        % json.dumps(SQUARE_PTS))
     cases = [
         ["solve", "--polygon", str(tmp_path / "missing.json"),
          "--theta-deg", "10"],
@@ -142,11 +149,15 @@ def test_exit_one_on_bad_inputs(tmp_path, capsys):
         ["sweep", "--polygon", good, "--step-deg", "0"],
         ["verify", "--polygon", good, "--theta-deg", "10",
          "--tour", str(nan_tour)],
+        ["solve", "--polygon", str(inf_name), "--theta-deg", "10"],
+        ["solve", "--polygon", str(nan_name), "--theta-deg", "10"],
     ]
     for argv in cases:
         rc, out, err = _run(capsys, argv)
         assert rc == 1, argv
         assert "error" in err, argv
+        if argv[2].endswith("_name.json"):
+            assert "name must be a string or null" in err, argv
 
 
 @pytest.mark.parametrize("step", ["nan", "inf", "0"])

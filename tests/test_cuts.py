@@ -10,6 +10,7 @@ from monowatch import (
     classify_vertex,
     compute_cuts,
     enumerate_candidate_events,
+    left_region,
     left_region_contains,
 )
 from monowatch.cuts import (
@@ -30,10 +31,15 @@ from monowatch.geom import (
     Segment,
     chord_through_vertex,
     ring_contains,
-    split_ring,
 )
 
-from conftest import comb, corpus_polygon, spiral_corridor
+from conftest import (
+    _reference_split_ring,
+    comb,
+    corpus_polygon,
+    mixed_corpus,
+    spiral_corridor,
+)
 
 VALIDITY_DEG = math.degrees(math.atan(4.0))  # edge slope shared by fixtures
 
@@ -165,7 +171,8 @@ def test_interior_points_fall_on_exactly_one_side(double):
         if ring_contains(double.vertices, p) == 1:
             pts.append(p)
     for c in cuts:
-        left, right = split_ring(double.vertices, c.chord.a, c.chord.b)
+        left, right = _reference_split_ring(double.vertices, c.chord.a,
+                                            c.chord.b)
         for p in pts:
             if _point_chord_dist(p, c.chord) < 1e-6:
                 continue
@@ -175,6 +182,63 @@ def test_interior_points_fall_on_exactly_one_side(double):
                 continue  # grazing the shared boundary, no side defined
             assert (sl == 1) != (sr == 1)
             assert left_region_contains(double, c, p) == (sl == 1)
+
+
+def _assert_left_regions_match(P, cuts):
+    for c in cuts:
+        # repr tells -0.0 from 0.0 and prints every float exactly
+        want = _reference_split_ring(P.vertices, *c.chord)[0]
+        assert repr(left_region(P, c)) == repr(want), c.describe()
+
+
+def test_left_region_matches_ring_split(corpus_solves):
+    """Walking each cut's boundary arc builds the left ring the ring
+    split built, on every cut of every solvable reference case."""
+    compared = 0
+    for P, th, res in corpus_solves:
+        _assert_left_regions_match(P, res.cuts)
+        compared += len(res.cuts)
+    assert compared > 10000
+
+
+def test_left_region_matches_ring_split_near_events(toothgap, double,
+                                                    unotch, spiral):
+    """Same, 1e-9 and 1e-7 degrees off every candidate event, where
+    chord ends come within TAU_ONEDGE of vertices."""
+    polys = list(mixed_corpus(200)) + [comb(k) for k in (2, 8, 16)]
+    polys += [spiral_corridor(seed) for seed in range(8)]
+    polys += [toothgap, double, unotch, spiral]
+    compared = 0
+    for P in polys:
+        for e in enumerate_candidate_events(P):
+            for d in (-1e-9, 1e-9, -1e-7, 1e-7):
+                try:
+                    cuts = compute_cuts(P, Angle(e.angle_deg + d))
+                except EventAngleError:
+                    continue
+                _assert_left_regions_match(P, cuts)
+                compared += len(cuts)
+    assert compared > 20000
+
+
+def test_left_region_snaps_far_end_to_vertex(double):
+    """At atan(2/3) the chord of vertex 2 is nudged off vertex 0, and its
+    backward cut's far end, where the walk ends, lands on edge 0 within
+    TAU_ONEDGE of vertex 0.  The far end takes vertex 0's key, so the
+    ring ends at the far end and leaves vertex 0 out, as the ring split
+    did; keyed on its edge, vertex 0 would be walked and the far end
+    collapsed into it."""
+    diagnostics = []
+    cuts = compute_cuts(double, Angle(math.degrees(math.atan2(2, 3))),
+                        diagnostics)
+    assert any("vertex 2" in msg for msg in diagnostics)
+    c = _cut(cuts, 2, "Backward")
+    corner = double.vertices[0]
+    assert c.far_point != corner
+    assert math.dist(c.far_point, corner) <= TAU_ONEDGE
+    ring = left_region(double, c)
+    assert ring[-1] == c.far_point and corner not in ring
+    _assert_left_regions_match(double, [c])
 
 
 def _point_chord_dist(p, chord):

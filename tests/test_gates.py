@@ -17,13 +17,12 @@ from monowatch import (
     reduce_polygon,
     solve_theta,
 )
-from monowatch.cuts import ThetaCut
+from monowatch.cuts import ThetaCut, boundary_arc
 from monowatch.gates import (
     AREA_CHECK_REL,
     ReducedPolygon,
     _refuse_collinear_same_color,
     _removal_side,
-    boundary_arc,
 )
 from monowatch.geom import (
     TAU_ONEDGE,
@@ -32,12 +31,12 @@ from monowatch.geom import (
     Polygon,
     ring_area,
     ring_contains,
-    split_ring,
 )
 
 from conftest import (
     DOUBLE_PTS,
     UNOTCH_PTS,
+    _reference_split_ring,
     comb,
     corpus_polygon,
     make_polygon,
@@ -193,7 +192,7 @@ def _ring_dominates(P, c1, c2):
     """Reference: c1's chord (ends and midpoint) lies in c2's left
     region and c2's chord does not lie in c1's, probed on split rings."""
     def chord_inside(probe, region):
-        ring = left_region(P, region)
+        ring = _reference_split_ring(P.vertices, *region.chord)[0]
         a, b = probe.chord
         return all(ring_contains(ring, q) >= 0
                    for q in (a, b, probe.chord.midpoint()))
@@ -303,7 +302,7 @@ def _reference_reduce_polygon(P: Polygon, gates: Sequence[ThetaCut],
     removed_total = 0.0
     current = tuple(P.vertices)
     for gi, g in enumerate(gates):
-        left, right = split_ring(current, g.chord.a, g.chord.b)
+        left, right = _reference_split_ring(current, g.chord.a, g.chord.b)
         side = _removal_side(arcs[gi], arcs[:gi] + arcs[gi + 1:], P.n)
         removal, kept = (left, right) if side == "left" else (right, left)
         removed_total += abs(ring_area(removal))
@@ -318,7 +317,7 @@ def _reference_reduce_polygon(P: Polygon, gates: Sequence[ThetaCut],
             "removed gate regions overlap; area bookkeeping failed "
             f"({P.area:.9f} != {reduced.area:.9f} + {removed_total:.9f})")
 
-    # split_ring copies every ring point and chord end exactly, so each
+    # the ring split copies every ring point and chord end exactly, so each
     # reduced vertex is found by value; a chord end it merged into a
     # vertex within TAU_ONEDGE is that vertex
     index = {p: i for i, p in enumerate(reduced.vertices)}

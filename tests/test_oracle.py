@@ -131,6 +131,22 @@ def test_dense_sweep_double_row(double):
     assert byangle[130.0] == pytest.approx(8.699505983697986, abs=1e-3)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("step_deg", 0.0), ("step_deg", -1.0), ("step_deg", math.nan),
+    ("step_deg", math.inf), ("lo", math.nan), ("lo", -math.inf),
+    ("hi", math.inf), ("hi", math.nan),
+])
+def test_dense_sweep_refuses_endless_grid(square, monkeypatch, name, value):
+    """A step that is not finite and positive, or a bound that is not
+    finite, is refused before any angle is solved."""
+    def solve_theta(*args):
+        raise AssertionError("dense_sweep solved an angle")
+
+    monkeypatch.setattr(oracle, "solve_theta", solve_theta)
+    with pytest.raises(GeometryError, match=f"^{name} must be finite"):
+        dense_sweep(square, **{name: value})
+
+
 def test_jittered_polygon_shape():
     for n, seed in ((6, 0), (9, 4), (14, 11)):
         P = star_polygon(n, seed)
