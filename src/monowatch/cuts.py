@@ -155,7 +155,7 @@ def compute_cuts(P: Polygon, theta: Angle,
 
     The chords of all colored reflex vertices are found together by
     ``chords_at``; a chord whose line meets a second vertex is nudged on
-    its own, as ``chord_through_vertex`` does.  The same sweep gives each
+    its own by ``settle_chord``.  The same sweep gives each
     cut's ``near``, so tour points on the chord are later tagged from it
     and their identity instead of a search of the polygon.  Raises
     EventAngleError when any reflex vertex classifies as Boundary, or

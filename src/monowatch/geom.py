@@ -116,20 +116,6 @@ def orient(p: Point, q: Point, r: Point) -> int:
     return 0
 
 
-def reflect_point(p: Point, mirror: Segment) -> Point:
-    """Image of p under reflection across the supporting line of mirror."""
-    ax, ay = mirror.a
-    dx = mirror.b.x - ax
-    dy = mirror.b.y - ay
-    d2 = dx * dx + dy * dy
-    if d2 <= TAU_ORIENT * TAU_ORIENT:
-        raise GeometryError("cannot reflect across a degenerate mirror")
-    t = ((p[0] - ax) * dx + (p[1] - ay) * dy) / d2
-    fx = ax + t * dx
-    fy = ay + t * dy
-    return Point(2.0 * fx - p[0], 2.0 * fy - p[1])
-
-
 def point_segment_distance(p: Point, seg: Segment) -> float:
     ax, ay = seg.a
     bx, by = seg.b
@@ -609,19 +595,3 @@ def settle_chord(P: Polygon, vi: int, degrees: float, hit,
             f"chord through vertex {vi}: angle nudged by "
             f"{attempt * CHORD_NUDGE_DEG:g} degrees to avoid a vertex hit")
     return hit
-
-
-def chord_through_vertex(P: Polygon, vi: int, theta: Angle,
-                         diagnostics: Optional[list] = None) -> ChordHit:
-    """Maximal chord of P through vertex vi in direction theta.
-
-    The chord is the connected component, around the vertex, of the line
-    clipped to the polygon; when the line enters the interior on one side
-    of the vertex only, the vertex itself is the other endpoint.  When
-    the line meets a second vertex or runs along an edge the angle is
-    perturbed by +1e-7 degrees for this query only; the perturbation is
-    appended to ``diagnostics`` when given.
-    """
-    base = theta.degrees
-    return settle_chord(P, vi, base, chords_at(P, (vi,), base)[0][0],
-                        diagnostics)

@@ -2,9 +2,12 @@
 
 Everything here is deliberately written against the problem statement
 rather than against the solver: coverage is re-derived from raw cuts,
-and the reference minimum discretizes gate chords and runs a min-plus
-chain product over candidate visiting orders.  numpy is confined to
-this module.
+and the reference minimum first looks for one point in every cut's
+closed left region, a tour of length 0, among the finitely many points
+where such a point must exist if any does.  Only when there is none
+does it discretize the gate chords, build one segment mask per
+unordered pair of chords, and run a min-plus chain product over
+candidate visiting orders.  numpy is confined to this module.
 """
 
 from __future__ import annotations
@@ -142,6 +145,23 @@ class ReferenceResult:
     points: Tuple[Point, ...]
 
 
+def _common_point(P: Polygon, cuts: Sequence[ThetaCut]) -> Optional[Point]:
+    """A point in the closed left region of every cut, or None.
+
+    Cuts at one angle are parallel chords that never cross, so when the
+    regions share a point their intersection has a corner that is a
+    polygon vertex or a chord end.  Those points are tried in that
+    order, within `ring_contains`'s default tolerance of 1e-7, which is
+    also `validate_tour`'s.  With no cuts the first polygon vertex is
+    returned.
+    """
+    rings = [left_region(P, c) for c in cuts]
+    for p in itertools.chain(P.vertices, (q for c in cuts for q in c.chord)):
+        if all(ring_contains(ring, p) >= 0 for ring in rings):
+            return p
+    return None
+
+
 def _chord_samples(cut: ThetaCut, m: int) -> np.ndarray:
     a, b = cut.chord.a, cut.chord.b
     t = np.linspace(0.0, 1.0, m)
@@ -241,35 +261,44 @@ def _minplus(D: np.ndarray, C: np.ndarray) -> np.ndarray:
 
 def reference_min_tour(P: Polygon, theta: Union[Angle, float],
                        m: int = 200, max_gates: int = 4) -> ReferenceResult:
-    """Brute-force near-optimal tour by discretizing gate chords.
+    """Brute-force near-optimal tour: a point tour if one exists, else
+    the best tour through a grid on the gate chords.
 
-    Touch points are restricted to a grid on each chord and consecutive
-    touch points join by straight segments masked to stay inside the
-    polygon; all cyclic visiting orders are tried.  The result length
-    is an upper bound on the true optimum; `slack` bounds how far above
-    the optimum the grid restriction alone can push it.  `m`, the
-    number of samples per chord, must be an integer ≥ 2.
+    A point in every cut's closed left region is a tour of length 0.
+    It is searched for exactly among the polygon vertices and chord
+    ends (`_common_point`), without the gates or the solver, and
+    returned as the one point of a `ReferenceResult` with length and
+    slack 0 and an empty order.
+
+    Otherwise touch points are restricted to a grid on each gate chord,
+    and consecutive touch points join by straight segments masked to
+    stay inside the polygon.  Each unordered pair of chords gets one
+    mask, and the reverse direction is its transpose.  All cyclic
+    visiting orders are tried.  The result length is an upper bound on
+    the true optimum; `slack` bounds how far above the optimum the grid
+    restriction alone can push it.  `m`, the number of samples per
+    chord, must be an integer ≥ 2.
     """
     _check_count("m", m)
     ang = theta if isinstance(theta, Angle) else Angle(theta)
     cuts = compute_cuts(P, ang)
+    witness = _common_point(P, cuts)
+    if witness is not None:
+        return ReferenceResult(0.0, 0.0, (), (witness,))
     gates = compute_gates(P, cuts)
     K = len(gates)
-    if K == 0:
-        return ReferenceResult(0.0, 0.0, (), ())
-    chords = [g.chord for g in gates]
-    if K == 1:
-        mid = chords[0].midpoint()
-        return ReferenceResult(0.0, 0.0, (0,), (mid,))
     if K > max_gates:
         raise GeometryError(f"reference oracle capped at {max_gates} gates, "
                             f"got {K}")
+    chords = [g.chord for g in gates]
     grids = [_chord_samples(g, m) for g in gates]
     slack = sum(c.length() / (m - 1) for c in chords)
 
     masks: dict = {}
 
     def cost(i: int, j: int) -> np.ndarray:
+        if i > j:
+            return cost(j, i).T
         key = (i, j)
         if key not in masks:
             A, B = grids[i], grids[j]

@@ -10,12 +10,22 @@ import importlib.util
 import math
 import random
 from pathlib import Path
-from typing import Sequence
+from typing import Optional, Sequence
 
 import pytest
 
 from monowatch import Angle, EventAngleError, enumerate_candidate_events
-from monowatch.geom import TAU_ONEDGE, GeometryError, Point, Polygon
+from monowatch.geom import (
+    TAU_ONEDGE,
+    TAU_ORIENT,
+    ChordHit,
+    GeometryError,
+    Point,
+    Polygon,
+    Segment,
+    chords_at,
+    settle_chord,
+)
 
 
 def _load_inputs():
@@ -247,3 +257,35 @@ def _reference_split_ring(ring: Sequence[Point], a: Point, b: Point,
     if len(left) < 3 or len(right) < 3:
         raise GeometryError("chord split produced a degenerate component")
     return left, right
+
+
+# Geometry that only the tests call, kept here verbatim from ``geom``.
+
+def reflect_point(p: Point, mirror: Segment) -> Point:
+    """Image of p under reflection across the supporting line of mirror."""
+    ax, ay = mirror.a
+    dx = mirror.b.x - ax
+    dy = mirror.b.y - ay
+    d2 = dx * dx + dy * dy
+    if d2 <= TAU_ORIENT * TAU_ORIENT:
+        raise GeometryError("cannot reflect across a degenerate mirror")
+    t = ((p[0] - ax) * dx + (p[1] - ay) * dy) / d2
+    fx = ax + t * dx
+    fy = ay + t * dy
+    return Point(2.0 * fx - p[0], 2.0 * fy - p[1])
+
+
+def chord_through_vertex(P: Polygon, vi: int, theta: Angle,
+                         diagnostics: Optional[list] = None) -> ChordHit:
+    """Maximal chord of P through vertex vi in direction theta.
+
+    The chord is the connected component, around the vertex, of the line
+    clipped to the polygon; when the line enters the interior on one side
+    of the vertex only, the vertex itself is the other endpoint.  When
+    the line meets a second vertex or runs along an edge the angle is
+    perturbed by +1e-7 degrees for this query only; the perturbation is
+    appended to ``diagnostics`` when given.
+    """
+    base = theta.degrees
+    return settle_chord(P, vi, base, chords_at(P, (vi,), base)[0][0],
+                        diagnostics)

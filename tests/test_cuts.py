@@ -29,12 +29,12 @@ from monowatch.geom import (
     Point,
     Polygon,
     Segment,
-    chord_through_vertex,
     ring_contains,
 )
 
 from conftest import (
     _reference_split_ring,
+    chord_through_vertex,
     comb,
     corpus_polygon,
     mixed_corpus,

@@ -10,14 +10,12 @@ from monowatch.geom import (
     Point,
     Polygon,
     Segment,
-    chord_through_vertex,
     normalize_deg,
     orient,
-    reflect_point,
     ring_contains,
 )
 
-from conftest import corpus_polygon
+from conftest import chord_through_vertex, corpus_polygon, reflect_point
 
 # half-integer grid keeps every cross product an exact multiple of 0.25,
 # far from the collinearity tolerance

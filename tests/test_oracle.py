@@ -83,7 +83,11 @@ def test_reference_matches_exact_double(double):
 
 
 def test_reference_zero_cases(square, unotch):
-    assert reference_min_tour(square, Angle(33.0), m=50).length == 0.0
+    # a convex polygon has no cuts, and the reference still names a point
+    ref = reference_min_tour(square, Angle(33.0), m=50)
+    assert (ref.length, ref.slack, ref.order) == (0.0, 0.0, ())
+    assert ref.points == (square.vertices[0],)
+    assert validate_tour(square, Angle(33.0), ref.points).valid
     assert reference_min_tour(unotch, Angle(0.0), m=50).length == 0.0
 
 
@@ -94,11 +98,11 @@ def test_reference_gate_cap():
 
 
 def test_reference_brackets_solver_on_notched():
-    """The reference tours must visit every gate chord, so its value is
-    always an upper bound; it matches the solver to within sampling
-    slack only when the optimum is positive (a zero tour covers the
-    cuts from a common interior point without touching any chord)."""
-    upper = bracketed = 0
+    """The reference answers 0 exactly when one point lies in every
+    cut's region, and otherwise visits every gate chord on its grid:
+    on these cases it brackets the solver wherever it answers, zero
+    tours included."""
+    bracketed = 0
     for seed in (0, 2, 3, 5):
         P = notched_polygon(seed)
         for th in (19.0, 101.0):
@@ -107,13 +111,46 @@ def test_reference_brackets_solver_on_notched():
                 ref = reference_min_tour(P, Angle(th), m=120)
             except GeometryError:
                 continue
-            assert exact <= ref.length + 1e-9
-            upper += 1
-            if exact > 1e-9:
-                assert ref.length <= exact + ref.slack + 1e-9
-                bracketed += 1
-    assert upper >= 5
-    assert bracketed >= 2
+            assert ref.length - ref.slack <= exact
+            assert exact <= ref.length + ref.slack + 1e-9
+            bracketed += 1
+    assert bracketed >= 5
+
+
+def test_reference_brackets_solver_on_mixed_corpus(monkeypatch):
+    """On the mixed corpus the reference brackets the solver wherever it
+    answers; a point tour's witness validates; and a grid case builds
+    one mask per unordered pair of gates."""
+    mask = oracle._segment_mask
+    calls = []
+
+    def spy(P, A, B):
+        calls.append(1)
+        return mask(P, A, B)
+
+    monkeypatch.setattr(oracle, "_segment_mask", spy)
+    points = grids = 0
+    for i, P in enumerate(mixed_corpus(200)):
+        th = random.Random(i).uniform(0.0, 180.0)
+        try:
+            exact = solve_theta(P, Angle(th)).tour.length
+            calls.clear()
+            ref = reference_min_tour(P, Angle(th), m=200)
+        except GeometryError:
+            continue
+        assert ref.length - ref.slack <= exact, (i, th)
+        assert exact <= ref.length + ref.slack + 1e-9, (i, th)
+        if ref.length == 0.0:
+            assert len(ref.points) == 1
+            assert validate_tour(P, Angle(th), ref.points).valid, (i, th)
+            assert calls == []
+            points += 1
+        else:
+            K = len(ref.order)
+            assert len(calls) == K * (K - 1) // 2, (i, th)
+            grids += 1
+    assert points >= 140
+    assert grids >= 35
 
 
 def test_dense_sweep_square_flat(square):

@@ -29,7 +29,6 @@ from monowatch.geom import (
     Segment,
     orient_value,
     point_segment_distance,
-    reflect_point,
     ring_area,
     ring_contains,
     segment_segment_intersection,
@@ -47,6 +46,7 @@ from conftest import (
     make_polygon,
     mixed_corpus,
     notched_polygon,
+    reflect_point,
     solve_or_none,
     spiral_corridor,
 )
