@@ -102,7 +102,7 @@ def test_reference_brackets_solver_on_notched():
     cut's region, and otherwise visits every gate chord on its grid:
     on these cases it brackets the solver wherever it answers, zero
     tours included."""
-    bracketed = 0
+    upper = bracketed = 0
     for seed in (0, 2, 3, 5):
         P = notched_polygon(seed)
         for th in (19.0, 101.0):
@@ -111,10 +111,13 @@ def test_reference_brackets_solver_on_notched():
                 ref = reference_min_tour(P, Angle(th), m=120)
             except GeometryError:
                 continue
+            assert exact <= ref.length + 1e-9
             assert ref.length - ref.slack <= exact
-            assert exact <= ref.length + ref.slack + 1e-9
-            bracketed += 1
-    assert bracketed >= 5
+            upper += 1
+            if exact > 1e-9:
+                bracketed += 1
+    assert upper >= 5
+    assert bracketed >= 2
 
 
 def test_reference_brackets_solver_on_mixed_corpus(monkeypatch):
@@ -139,7 +142,7 @@ def test_reference_brackets_solver_on_mixed_corpus(monkeypatch):
         except GeometryError:
             continue
         assert ref.length - ref.slack <= exact, (i, th)
-        assert exact <= ref.length + ref.slack + 1e-9, (i, th)
+        assert exact <= ref.length + 1e-9, (i, th)
         if ref.length == 0.0:
             assert len(ref.points) == 1
             assert validate_tour(P, Angle(th), ref.points).valid, (i, th)
