@@ -216,8 +216,8 @@ def solve_document(res: SolveResult, name: Optional[str]) -> dict:
 
 
 def render_svg(P: Polygon, cuts: Sequence[ThetaCut],
-               gates: Sequence[ThetaCut], tour: Optional[Tour],
-               width: float = 640.0) -> str:
+               gates: Sequence[ThetaCut], tour: Optional[Tour]) -> str:
+    width = 640.0
     xlo, ylo, xhi, yhi = P.bbox
     span_x = max(xhi - xlo, 1e-9)
     span_y = max(yhi - ylo, 1e-9)

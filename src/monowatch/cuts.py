@@ -298,14 +298,14 @@ def _dist2(p: Point, q: Point) -> float:
     return (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
 
 
-def left_region_contains(P: Polygon, cut: ThetaCut, p: Point,
-                         tol: float = TAU_ONEDGE) -> bool:
-    """Whether p lies in the closed left region of the cut.
+def left_region_contains(P: Polygon, cut: ThetaCut, p: Point) -> bool:
+    """Whether p lies in the closed left region of the cut, within
+    TAU_ONEDGE.
 
     p must lie in the closed polygon; asking about outside points is a
     contract violation and raises.
     """
     p = Point(p[0], p[1])
-    if P.contains(p, tol) < 0:
+    if P.contains(p) < 0:
         raise GeometryError(f"point {tuple(p)} lies outside the polygon")
-    return ring_contains(left_region(P, cut), p, tol) >= 0
+    return ring_contains(left_region(P, cut), p) >= 0

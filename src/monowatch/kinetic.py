@@ -29,7 +29,6 @@ from .geom import (
     Polygon,
     Segment,
     point_segment_distance,
-    segments_properly_cross,
 )
 from .sleeve import TAG_TOL, Tour, _dist2
 from .solver import SolveResult, beats
@@ -122,10 +121,11 @@ class FrozenStructure:
     Stable anchors stay put; a far-endpoint touch follows the gate
     chord's intersection with its frozen polygon edge; interior moving
     anchors re-solve as perfect reflections on the rotated chord lines.
-    ``colors`` holds every reflex vertex with the offsets to its two
-    neighbours and its color at the freeze angle, and ``walls`` every
-    polygon edge with a reflex end, as (index, x, y) for each end, the
-    index None unless that end is reflex.
+    No length is stored: ``evaluate_close_tour(S, 0.0)`` gives the length
+    at ``theta_deg``.  ``colors`` holds every reflex vertex with the
+    offsets to its two neighbours and its color at the freeze angle, and
+    ``walls`` every polygon edge with a reflex end, as (index, x, y) for
+    each end, the index None unless that end is reflex.
 
     Every candidate tour of the freezing solve is kept: ``rivals`` holds
     one frozen tour per distinct tour, up to rotation, and ``order``
@@ -154,7 +154,6 @@ class FrozenStructure:
 
     polygon: Polygon
     theta_deg: float
-    base_length: float
     kind: str  # "point" or "tour"
     anchors: Tuple[FrozenAnchor, ...] = ()
     colors: Tuple[Tuple[int, float, float, float, float, VertexClass],
@@ -368,9 +367,8 @@ def freeze_structure(P: Polygon, res: SolveResult) -> FrozenStructure:
             order[i] = (len(rivals), 0)
             rivals.append(anchors)
             shapes.append(shape)
-    return FrozenStructure(P, res.theta.degrees, tour.length, "tour",
-                           rivals[0], colors, walls, None, tuple(rivals),
-                           tuple(order))
+    return FrozenStructure(P, res.theta.degrees, "tour", rivals[0], colors,
+                           walls, None, tuple(rivals), tuple(order))
 
 
 def _freeze_point(P: Polygon, res: SolveResult, colors, walls):
@@ -394,8 +392,8 @@ def _freeze_point(P: Polygon, res: SolveResult, colors, walls):
         g = gates[owner]
         common = (owner, math.dist(p, g.vertex)
                   / math.dist(g.far_point, g.vertex))
-    return FrozenStructure(P, res.theta.degrees, tour.length, "point",
-                           tuple(anchors), colors, walls, common)
+    return FrozenStructure(P, res.theta.degrees, "point", tuple(anchors),
+                           colors, walls, common)
 
 
 def _far_endpoint(gate: _Gate, ux: float,

@@ -40,6 +40,12 @@ from .solver import solve_theta
 
 PointLike = Union[Point, Tuple[float, float]]
 
+# the most gates the reference searches; it tries (K - 1)!/2 orders
+MAX_GATES = 4
+# each tour edge is tested for leaving the polygon at the interior
+# division points of this many equal parts
+EDGE_SAMPLES = 16
+
 
 @dataclass
 class CutCoverage:
@@ -68,36 +74,33 @@ def _as_points(tour: Union[Tour, Sequence[PointLike]]) -> List[Point]:
 
 
 def validate_tour(P: Polygon, theta: Union[Angle, float],
-                  tour: Union[Tour, Sequence[PointLike]],
-                  tol: float = 1e-7,
-                  edge_samples: int = 16) -> ValidationReport:
+                  tour: Union[Tour, Sequence[PointLike]]) -> ValidationReport:
     """Check a closed tour stays inside P and covers every cut.
 
     A cut is covered when the tour meets the closed region left of the
     cut: some tour vertex lies in it, or some tour edge touches the
     chord.  Violations report the distance by which the tour misses the
     chord.  Each tour edge is tested for leaving P at its
-    `edge_samples` − 1 interior division points, so `edge_samples`
-    must be an integer ≥ 2.
+    `EDGE_SAMPLES` − 1 interior division points.  Every test is made
+    within TAU_ONEDGE.
     """
-    _check_count("edge_samples", edge_samples)
     ang = theta if isinstance(theta, Angle) else Angle(theta)
     pts = _as_points(tour)
     if not pts:
         raise GeometryError("empty tour")
     messages: List[str] = []
     for p in pts:
-        if P.contains(p, tol) < 0:
+        if P.contains(p) < 0:
             raise GeometryError(
                 f"tour vertex ({p.x:.6f},{p.y:.6f}) lies outside the polygon")
     m = len(pts)
     edges = [(pts[i], pts[(i + 1) % m]) for i in range(m)] if m > 1 else []
     inside = True
     for a, b in edges:
-        for k in range(1, edge_samples):
-            t = k / edge_samples
+        for k in range(1, EDGE_SAMPLES):
+            t = k / EDGE_SAMPLES
             q = Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
-            if P.contains(q, tol) < 0:
+            if P.contains(q) < 0:
                 inside = False
                 messages.append(
                     f"tour edge leaves the polygon near ({q.x:.6f},{q.y:.6f})")
@@ -109,11 +112,11 @@ def validate_tour(P: Polygon, theta: Union[Angle, float],
     worst = 0.0
     for c in cuts:
         ring = left_region(P, c)
-        hit = any(ring_contains(ring, p, tol) >= 0 for p in pts)
+        hit = any(ring_contains(ring, p) >= 0 for p in pts)
         if not hit:
             for a, b in edges:
-                if segment_segment_intersection(a, b, c.chord.a, c.chord.b,
-                                                tol) is not None:
+                if segment_segment_intersection(a, b, c.chord.a,
+                                                c.chord.b) is not None:
                     hit = True
                     break
         violation = 0.0
@@ -260,7 +263,7 @@ def _minplus(D: np.ndarray, C: np.ndarray) -> np.ndarray:
 
 
 def reference_min_tour(P: Polygon, theta: Union[Angle, float],
-                       m: int = 200, max_gates: int = 4) -> ReferenceResult:
+                       m: int = 200) -> ReferenceResult:
     """Brute-force near-optimal tour: a point tour if one exists, else
     the best tour through a grid on the gate chords.
 
@@ -277,7 +280,8 @@ def reference_min_tour(P: Polygon, theta: Union[Angle, float],
     visiting orders are tried.  The result length is an upper bound on
     the true optimum; `slack` bounds how far above the optimum the grid
     restriction alone can push it.  `m`, the number of samples per
-    chord, must be an integer ≥ 2.
+    chord, must be an integer ≥ 2.  More than `MAX_GATES` gates are
+    refused.
     """
     _check_count("m", m)
     ang = theta if isinstance(theta, Angle) else Angle(theta)
@@ -287,8 +291,8 @@ def reference_min_tour(P: Polygon, theta: Union[Angle, float],
         return ReferenceResult(0.0, 0.0, (), (witness,))
     gates = compute_gates(P, cuts)
     K = len(gates)
-    if K > max_gates:
-        raise GeometryError(f"reference oracle capped at {max_gates} gates, "
+    if K > MAX_GATES:
+        raise GeometryError(f"reference oracle capped at {MAX_GATES} gates, "
                             f"got {K}")
     chords = [g.chord for g in gates]
     grids = [_chord_samples(g, m) for g in gates]
@@ -353,24 +357,21 @@ def reference_min_tour(P: Polygon, theta: Union[Angle, float],
 # sweeps
 
 
-def dense_sweep(P: Polygon, step_deg: float = 0.25,
-                lo: float = 0.0, hi: float = 180.0) -> List[Tuple[float, float]]:
-    """Solve on a simple grid of angles, nudging off event angles.
+def dense_sweep(P: Polygon,
+                step_deg: float = 0.25) -> List[Tuple[float, float]]:
+    """Solve on the grid k·`step_deg` over [0, 180), nudging off event
+    angles.
 
-    `step_deg` must be finite and positive and `lo` and `hi` finite, or
-    the grid would never end.
+    `step_deg` must be finite and positive, or the grid would never end.
     """
     if not (math.isfinite(step_deg) and step_deg > 0.0):
         raise GeometryError(
             f"step_deg must be finite and positive, got {step_deg!r}")
-    for name, value in (("lo", lo), ("hi", hi)):
-        if not math.isfinite(value):
-            raise GeometryError(f"{name} must be finite, got {value!r}")
     out: List[Tuple[float, float]] = []
     k = 0
     while True:
-        theta = lo + k * step_deg
-        if theta >= hi - 1e-12:
+        theta = k * step_deg
+        if theta >= 180.0 - 1e-12:
             break
         length: Optional[float] = None
         for nudge in (0.0, 1e-5, -1e-5, 3e-5):

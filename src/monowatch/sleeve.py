@@ -202,12 +202,6 @@ def triangulate(rp) -> Triangulation:
     )
 
 
-class Panel(NamedTuple):
-    copy: int
-    tri: int
-    world: Tuple[Point, Point, Point]
-
-
 class Portal(NamedTuple):
     left: Point
     right: Point
@@ -216,9 +210,13 @@ class Portal(NamedTuple):
 
 @dataclass
 class Sleeve:
-    """Unrolled corridor of triangle panels from a vertex back to itself."""
+    """Unrolled corridor of triangle panels from a vertex back to itself.
 
-    panels: Tuple[Panel, ...]
+    The panels themselves are not kept: a path through them is fixed by
+    the portals between consecutive panels, crossed in order, and by
+    the source and its image.
+    """
+
     portals: Tuple[Portal, ...]
     mirrors: Tuple[Segment, ...]
     gates: Tuple[ThetaCut, ...]
@@ -280,8 +278,8 @@ def unroll(rp: ReducedPolygon, tri: Triangulation, v) -> Sleeve:
     after it is reflected across the mirror's current image.
 
     Each reduced-polygon vertex is mapped at most once per copy, with
-    the arithmetic of ``t_apply``; the panels, portal ends, mirrors and
-    image of that copy all share the mapped point.  The dual-tree legs
+    the arithmetic of ``t_apply``; the portal ends, mirrors and image of
+    that copy all share the mapped point.  The dual-tree legs
     between gates come from the triangulation's memo, so the candidate
     sleeves of one solve search each leg once.
     """
@@ -298,7 +296,7 @@ def unroll(rp: ReducedPolygon, tri: Triangulation, v) -> Sleeve:
 
     order = sorted(rp.essential, key=lambda pair: (pair[0] - vi) % m)
     if not order:
-        return Sleeve((), (), (), (), (T_IDENTITY,), v_pt, v_pt, vi, rp)
+        return Sleeve((), (), (), (T_IDENTITY,), v_pt, v_pt, vi, rp)
 
     # copy c's image of vertex i is maps[c][i]; t_apply's operand order
     # keeps every mapped point bit-identical to t_apply(transforms[c], .)
@@ -334,7 +332,6 @@ def unroll(rp: ReducedPolygon, tri: Triangulation, v) -> Sleeve:
     legs.append(_tree_path(tri, (gate_tris[-1],), v_tris))
 
     triangles = tri.triangles
-    panels: List[Panel] = []
     portals: List[Portal] = []
     ends: List[Tuple[int, int]] = []
     prev_tv: Tuple[int, ...] = ()
@@ -345,7 +342,7 @@ def unroll(rp: ReducedPolygon, tri: Triangulation, v) -> Sleeve:
         for j, ti in enumerate(leg):
             tv = triangles[ti]
             a, b, c = tv
-            if panels:
+            if prev_tv:
                 if j == 0:
                     # crossing mirror `copy`: portal is the mirror segment
                     ei = order[copy - 1][0]
@@ -368,10 +365,9 @@ def unroll(rp: ReducedPolygon, tri: Triangulation, v) -> Sleeve:
                     left, right, s0, s1 = right, left, s1, s0
                 portals.append(Portal(left, right, mirror_idx))
                 ends.append((s0, s1))
-            panels.append(Panel(copy, ti, (pts[a], pts[b], pts[c])))
             prev_tv = tv
 
-    return Sleeve(tuple(panels), tuple(portals), tuple(mirrors),
+    return Sleeve(tuple(portals), tuple(mirrors),
                   tuple(g for _, g in order), tuple(transforms),
                   v_pt, maps[-1][vi], vi, rp, tuple(ends))
 

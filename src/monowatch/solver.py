@@ -57,22 +57,23 @@ class MaximalMovingSubpath:
 
 @dataclass
 class SolveResult:
-    """A solve's tour and how it was found.
+    """A solve's tour and what its callers read of how it was found.
 
     ``rivals`` holds the tour folded from each candidate start vertex,
     in the order tried, each starting at its candidate; ``tour`` is one
-    of them, or the point tour when there are none.
+    of them, or the point tour when there are none.  ``common_point``
+    is that point when one lies in every gate's region.  The reduced
+    polygon, its triangulation and the candidates live only while the
+    solve runs; ``reduce_polygon``, ``triangulate`` and
+    ``_candidate_indices`` rebuild them from ``gates`` and ``theta``.
     """
 
     tour: Tour
     cuts: Tuple[ThetaCut, ...]
     gates: Tuple[ThetaCut, ...]
-    candidates: Tuple[Point, ...]
-    subpaths: Tuple[MaximalMovingSubpath, ...]
     theta: Angle
     diagnostics: Tuple[str, ...]
     common_point: Optional[Point] = None
-    reduced: Optional[ReducedPolygon] = None
     rivals: Tuple[Tour, ...] = ()
 
 
@@ -273,7 +274,7 @@ def solve_theta(P: Polygon, theta) -> SolveResult:
         vi = _lowest_leftmost_index(P)
         pt = P.vertices[vi]
         tour = Tour((pt,), (TourTag("stable", vertex_index=vi),), 0.0, theta)
-        return SolveResult(tour, (), (), (pt,), (), theta, tuple(diag))
+        return SolveResult(tour, (), (), theta, tuple(diag))
 
     gates = tuple(compute_gates(P, cuts))
     if not gates:
@@ -283,9 +284,8 @@ def solve_theta(P: Polygon, theta) -> SolveResult:
     if found is not None:
         common, owner = found
         tour = Tour((common,), (chord_tag(common, owner),), 0.0, theta)
-        subs = tuple(decompose_subpaths(tour))
-        return SolveResult(tour, cuts, gates, (common,), subs, theta,
-                           tuple(diag), common_point=common)
+        return SolveResult(tour, cuts, gates, theta, tuple(diag),
+                           common_point=common)
 
     rp = reduce_polygon(P, gates, theta)
     tri = triangulate(rp)
@@ -293,20 +293,18 @@ def solve_theta(P: Polygon, theta) -> SolveResult:
     cand = _candidate_indices(rp, tri, sleeve_cache)
 
     best: Optional[Tour] = None
-    tried: List[Point] = []
     rivals: List[Tour] = []
     for vi in cand:
         tour = fold_back(*_sleeve_path(rp, tri, vi, sleeve_cache))
-        tried.append(rp.polygon.vertices[vi])
         rivals.append(tour)
         if best is None or beats(tour.length, tour.cycle, best.length,
                                  best.cycle):
             best = tour
     if best is None:
         raise GeometryError("no candidate produced a tour")
-    subs = tuple(decompose_subpaths(best))
-    return SolveResult(best, cuts, gates, tuple(tried), subs, theta,
-                       tuple(diag), reduced=rp, rivals=tuple(rivals))
+    decompose_subpaths(best)  # refuses a tour that breaks persistence
+    return SolveResult(best, cuts, gates, theta, tuple(diag),
+                       rivals=tuple(rivals))
 
 
 def decompose_subpaths(tour: Tour) -> List[MaximalMovingSubpath]:

@@ -14,7 +14,8 @@ from typing import Optional, Sequence
 
 import pytest
 
-from monowatch import Angle, EventAngleError, enumerate_candidate_events
+from monowatch import Angle, EventAngleError, solver
+from monowatch.gates import reduce_polygon
 from monowatch.geom import (
     TAU_ONEDGE,
     TAU_ORIENT,
@@ -26,6 +27,8 @@ from monowatch.geom import (
     chords_at,
     settle_chord,
 )
+from monowatch.rotor import enumerate_candidate_events
+from monowatch.sleeve import triangulate
 
 
 def _load_inputs():
@@ -47,6 +50,17 @@ DOUBLE_PTS = [(0, 0), (5, 0), (6, 4), (7, 0), (8, 0),
 # single point covers everything on [90, 180)
 SPIRAL_PTS = [(0, 0), (10, 0), (10, 8), (2, 8), (2, 3), (4, 3), (4, 6),
               (8, 6), (8, 2), (0, 2)]
+# a random simple 25-gon (2-opt, seed 42) whose tours pass through three
+# gates at every angle of THREE_GATE_DEG, a 1 degree grid clear of events
+THREE_GATE_PTS = [
+    (19.144, 6.732), (16.143, 14.595), (17.234, 11.547), (16.95, 12.075),
+    (16.588, 12.37), (16.116, 13.963), (10.725, 19.462), (14.729, 13.534),
+    (4.373, 10.107), (4.409, 11.785), (2.02, 5.559), (1.596, 4.656),
+    (0.531, 3.977), (1.855, 1.934), (5.501, 4.464), (8.438, 0.596),
+    (6.805, 3.11), (12.714, 7.297), (4.558, 5.788), (7.571, 11.041),
+    (12.998, 10.899), (12.789, 0.5), (16.189, 0.13), (17.844, 1.739),
+    (14.091, 0.916)]
+THREE_GATE_DEG = [96.5 + k for k in range(27)]
 
 
 def make_polygon(pts):
@@ -76,6 +90,11 @@ def toothgap():
 @pytest.fixture(scope="session")
 def spiral():
     return make_polygon(SPIRAL_PTS)
+
+
+@pytest.fixture(scope="session")
+def threegate():
+    return make_polygon(THREE_GATE_PTS)
 
 
 def comb(k: int, seed: int = 0) -> Polygon:
@@ -136,11 +155,21 @@ def nonevent_angles(P: Polygon, rng: random.Random, count: int,
 
 
 def solve_or_none(P: Polygon, theta: float):
-    from monowatch import solve_theta
     try:
-        return solve_theta(P, Angle(theta))
+        return solver.solve_theta(P, Angle(theta))
     except EventAngleError:
         return None
+
+
+def solve_stages(P: Polygon, res):
+    """The reduced polygon, its triangulation and the candidate start
+    vertices of a solve that compared tours (``res.rivals`` not empty),
+    rebuilt by calling each stage; the candidates come in the order of
+    ``res.rivals``."""
+    rp = reduce_polygon(P, res.gates, res.theta)
+    tri = triangulate(rp)
+    return rp, tri, [rp.polygon.vertices[vi]
+                     for vi in solver._candidate_indices(rp, tri, {})]
 
 
 def reference_corpus():

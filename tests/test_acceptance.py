@@ -11,15 +11,7 @@ import time
 
 import pytest
 
-from monowatch import (
-    Angle,
-    GeometryError,
-    fold_back,
-    shortest_path,
-    solve_theta,
-    triangulate,
-    unroll,
-)
+from monowatch import Angle, GeometryError, solve_theta
 from monowatch.oracle import dense_sweep, reference_min_tour, validate_tour
 from monowatch.rotor import (
     EventType,
@@ -29,6 +21,7 @@ from monowatch.rotor import (
     optimize,
     structure_signature,
 )
+from monowatch.sleeve import fold_back, shortest_path, unroll
 from monowatch.solver import decompose_subpaths
 
 from conftest import (
@@ -42,6 +35,7 @@ from conftest import (
     nonevent_angles,
     notched_polygon,
     solve_or_none,
+    solve_stages,
 )
 
 CORPUS_SIZE = 200
@@ -130,11 +124,13 @@ def test_criterion_4_unrolling_is_isometric():
     folded = reflections = 0
     for P, sols in _corpus():
         for th, res in sols:
-            if res.reduced is None or len(res.reduced.essential) < 2:
+            if not res.rivals:
                 continue
-            tri = triangulate(res.reduced)
-            for v in res.candidates:
-                S = unroll(res.reduced, tri, v)
+            rp, tri, cands = solve_stages(P, res)
+            if len(rp.essential) < 2:
+                continue
+            for v in cands:
+                S = unroll(rp, tri, v)
                 path = shortest_path(S)
                 tour = fold_back(S, path)
                 path_len = sum(map(math.dist, path, path[1:]))

@@ -4,15 +4,7 @@ from typing import List, Optional
 
 import pytest
 
-from monowatch import (
-    Angle,
-    EventAngleError,
-    classify_vertex,
-    compute_cuts,
-    enumerate_candidate_events,
-    left_region,
-    left_region_contains,
-)
+from monowatch import Angle, EventAngleError
 from monowatch.cuts import (
     CutColor,
     CutKind,
@@ -20,6 +12,10 @@ from monowatch.cuts import (
     VertexClass,
     _classify_direction,
     _validity_event,
+    classify_vertex,
+    compute_cuts,
+    left_region,
+    left_region_contains,
 )
 from monowatch.geom import (
     CHORD_NUDGE_DEG,
@@ -31,6 +27,7 @@ from monowatch.geom import (
     Segment,
     ring_contains,
 )
+from monowatch.rotor import enumerate_candidate_events
 
 from conftest import (
     _reference_split_ring,

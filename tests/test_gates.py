@@ -6,23 +6,21 @@ import pytest
 from itertools import permutations
 from typing import Dict, Optional, Sequence, Union
 
-from monowatch import (
-    Angle,
-    EventAngleError,
+from monowatch import Angle, EventAngleError, solve_theta
+from monowatch.cuts import (
+    ThetaCut,
+    boundary_arc,
     compute_cuts,
-    compute_gates,
     dominates,
-    enumerate_candidate_events,
     left_region,
-    reduce_polygon,
-    solve_theta,
 )
-from monowatch.cuts import ThetaCut, boundary_arc
 from monowatch.gates import (
     AREA_CHECK_REL,
     ReducedPolygon,
     _refuse_collinear_same_color,
     _removal_side,
+    compute_gates,
+    reduce_polygon,
 )
 from monowatch.geom import (
     TAU_ONEDGE,
@@ -32,6 +30,7 @@ from monowatch.geom import (
     ring_area,
     ring_contains,
 )
+from monowatch.rotor import enumerate_candidate_events
 
 from conftest import (
     DOUBLE_PTS,
@@ -362,7 +361,7 @@ def test_reduce_matches_split_reference_on_corpus(corpus_solves):
     edges, origins and removed area as one ring split per gate."""
     compared = 0
     for P, th, res in corpus_solves:
-        if res.reduced is None:
+        if not res.rivals:
             continue
         assert (_reduction(reduce_polygon, P, res.gates, res.theta)
                 == _reduction(_reference_reduce_polygon, P, res.gates,
@@ -384,7 +383,7 @@ def test_reduce_matches_split_reference_near_events(toothgap):
                     res = solve_theta(P, Angle(e.angle_deg + d))
                 except GeometryError:
                     continue
-                if res.reduced is None:
+                if not res.rivals:
                     continue
                 assert (_reduction(reduce_polygon, P, res.gates, res.theta)
                         == _reduction(_reference_reduce_polygon, P,

@@ -6,14 +6,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from monowatch import Angle, GeometryError, oracle, solve_theta
-from monowatch.geom import TAU_ONEDGE, Polygon
+from monowatch.cuts import CutKind, left_region_contains
+from monowatch.geom import (
+    TAU_ONEDGE,
+    Point,
+    Polygon,
+    Segment,
+    point_segment_distance,
+)
 from monowatch.oracle import (
     dense_sweep,
     reference_min_tour,
     validate_tour,
 )
+from monowatch.sleeve import tour_length
 
 from conftest import (
+    THREE_GATE_DEG,
     corpus_polygon,
     mixed_corpus,
     notched_polygon,
@@ -45,6 +54,38 @@ def test_validate_point_tour(unotch):
     assert rep.valid
 
 
+def _coverage(rep, vertex, kind):
+    return next(c for c in rep.coverage
+                if c.cut.vertex_index == vertex and c.cut.kind is kind)
+
+
+def test_validate_counts_an_edge_across_the_chord(double):
+    # neither vertex lies left of the chord from (5.5, 2) to (2, 2), but
+    # the edge crosses it at x = 5.4 (and leaves through the spike)
+    tour = [(4.0, 3.0), (7.5, 0.5)]
+    rep = validate_tour(double, Angle(0.0), tour)
+    cov = _coverage(rep, 7, CutKind.BACKWARD)
+    assert cov.cut.chord == Segment(Point(5.5, 2.0), Point(2.0, 2.0))
+    assert not any(left_region_contains(double, cov.cut, Point(*p))
+                   for p in tour)
+    assert cov.covered and cov.violation == 0.0
+    assert not rep.valid and len(rep.messages) == 2
+
+
+def test_validate_violation_from_a_chord_end(double):
+    # the tour misses the same cut; the chord's end (5.5, 2) is nearer to
+    # its edge than either vertex is to the chord
+    a, b = Point(5.7, 2.9), Point(2.3, 3.0)
+    rep = validate_tour(double, Angle(0.0), [a, b])
+    cov = _coverage(rep, 7, CutKind.BACKWARD)
+    assert not cov.covered and rep.messages == ()
+    want = point_segment_distance(Point(5.5, 2.0), Segment(a, b))
+    assert cov.violation == pytest.approx(want, abs=1e-12)
+    assert cov.violation < min(point_segment_distance(p, cov.cut.chord)
+                               for p in (a, b)) - 0.01
+    assert cov.cut in rep.violated_cuts
+
+
 def test_validate_rejects_outside_points(square):
     with pytest.raises(GeometryError):
         validate_tour(square, Angle(0.0), [(2.0, 2.0), (9.0, 2.0)])
@@ -55,15 +96,6 @@ def test_validate_flags_edge_leaving_polygon(double):
     assert rep.valid is False
     assert rep.messages[0] == ("tour edge leaves the polygon near "
                                "(5.312500,1.000000)")
-
-
-@pytest.mark.parametrize("samples", [1, 0, -1, 2.5])
-def test_validate_refuses_too_few_edge_samples(double, samples):
-    # with fewer than two samples no interior point of an edge would be
-    # tested, and this tour, which leaves the polygon, would pass
-    with pytest.raises(GeometryError, match="edge_samples"):
-        validate_tour(double, 0.5, [(4.0, 1.0), (7.5, 1.0)],
-                      edge_samples=samples)
 
 
 @pytest.mark.parametrize("m", [1, 0, -3, 2.5])
@@ -91,10 +123,23 @@ def test_reference_zero_cases(square, unotch):
     assert reference_min_tour(unotch, Angle(0.0), m=50).length == 0.0
 
 
-def test_reference_gate_cap():
+def test_reference_gate_cap(monkeypatch):
     P = notched_polygon(1)
+    monkeypatch.setattr(oracle, "MAX_GATES", 1)
     with pytest.raises(GeometryError):
-        reference_min_tour(P, Angle(19.0), m=20, max_gates=1)
+        reference_min_tour(P, Angle(19.0), m=20)
+
+
+def test_reference_chains_three_gates(threegate, monkeypatch):
+    """With every straight join allowed, a three-gate case runs the
+    min-plus chain and the backtracking: the one visiting order holds
+    each gate once, and its points give back the reported length."""
+    monkeypatch.setattr(oracle, "_segment_mask",
+                        lambda P, A, B: np.ones((len(A), len(B)), bool))
+    ref = reference_min_tour(threegate, Angle(THREE_GATE_DEG[10]), m=40)
+    assert sorted(ref.order) == [0, 1, 2]
+    assert len(ref.points) == 3
+    assert tour_length(ref.points) == pytest.approx(ref.length, abs=1e-9)
 
 
 def test_reference_brackets_solver_on_notched():
@@ -173,12 +218,11 @@ def test_dense_sweep_double_row(double):
 
 @pytest.mark.parametrize("name, value", [
     ("step_deg", 0.0), ("step_deg", -1.0), ("step_deg", math.nan),
-    ("step_deg", math.inf), ("lo", math.nan), ("lo", -math.inf),
-    ("hi", math.inf), ("hi", math.nan),
+    ("step_deg", math.inf),
 ])
 def test_dense_sweep_refuses_endless_grid(square, monkeypatch, name, value):
-    """A step that is not finite and positive, or a bound that is not
-    finite, is refused before any angle is solved."""
+    """A step that is not finite and positive is refused before any
+    angle is solved."""
     def solve_theta(*args):
         raise AssertionError("dense_sweep solved an angle")
 

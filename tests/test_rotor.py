@@ -572,7 +572,7 @@ def test_frozen_tour_of_interior_reflections(square):
     # runs across them at right angles, 3 + 2 + 3 + 4 long at 90 degrees
     chords = [(0.0, 0.0, 4.0), (3.0, 5.0, 1.0), (1.0, 0.5, 4.5),
               (4.0, 3.0, 1.5)]
-    S = FrozenStructure(square, 90.0, 12.0, "tour",
+    S = FrozenStructure(square, 90.0, "tour",
                         tuple(_interior(*c) for c in chords))
     assert evaluate_close_tour(S, 0.0) == pytest.approx(12.0, abs=1e-12)
     r = math.radians(91.0)
@@ -581,7 +581,7 @@ def test_frozen_tour_of_interior_reflections(square):
     tilted = sum(abs(nx * (xs[i][0] - xs[i - 1][0])
                      + ny * (xs[i][1] - xs[i - 1][1])) for i in range(4))
     assert evaluate_close_tour(S, 1.0) == pytest.approx(tilted, abs=1e-12)
-    apart = FrozenStructure(square, 90.0, 12.0, "tour",
+    apart = FrozenStructure(square, 90.0, "tour",
                             S.anchors[:3] + (_interior(4.0, 4.6, 6.0),))
     with pytest.raises(StructureInfeasibleError, match="overlap"):
         evaluate_close_tour(apart, 0.0)
@@ -596,12 +596,12 @@ def test_watched_drops_a_certificate_with_any_failed_check(square):
     a = FrozenAnchor("stable", Point(1.0, 1.0), index=0)
     b = FrozenAnchor("stable", Point(1.0, 3.0), index=1, wedge=(1.0, -2.0))
     anchors = (a, _interior(2.0, 0.5, 1.5), b)
-    S = FrozenStructure(square, 90.0, 2.0 + 2.0 * math.sqrt(2.0), "tour",
-                        anchors, rivals=(anchors,), order=((0, 0),))
+    S = FrozenStructure(square, 90.0, "tour", anchors, rivals=(anchors,),
+                        order=((0, 0),))
     assert (1, "inside") not in S.watched[0]
     assert S.watched == _reference_watched(S) == (frozenset({(2, "turn")}),)
-    assert evaluate_close_tour(S, 0.0) == pytest.approx(S.base_length,
-                                                        abs=1e-12)
+    assert evaluate_close_tour(S, 0.0) == pytest.approx(
+        2.0 + 2.0 * math.sqrt(2.0), abs=1e-12)
 
 
 def test_freeze_compiles_each_rival_once(monkeypatch):

@@ -4,21 +4,9 @@ from typing import List, Sequence, Tuple
 
 import pytest
 
-from monowatch import (
-    Angle,
-    EventAngleError,
-    compute_cuts,
-    compute_gates,
-    fold_back,
-    reduce_polygon,
-    shortest_path,
-    solve_theta,
-    tour_length,
-    triangulate,
-    unroll,
-)
-from monowatch.cuts import ThetaCut
-from monowatch.gates import ReducedPolygon
+from monowatch import Angle, EventAngleError, solve_theta
+from monowatch.cuts import ThetaCut, compute_cuts
+from monowatch.gates import ReducedPolygon, compute_gates, reduce_polygon
 from monowatch.geom import (
     T_IDENTITY,
     TAU_ONEDGE,
@@ -37,7 +25,18 @@ from monowatch.geom import (
     t_invert,
     t_reflection,
 )
-from monowatch.sleeve import TAG_TOL, Panel, Portal, Sleeve, Tour, TourTag
+from monowatch.sleeve import (
+    TAG_TOL,
+    Portal,
+    Sleeve,
+    Tour,
+    TourTag,
+    fold_back,
+    shortest_path,
+    tour_length,
+    triangulate,
+    unroll,
+)
 
 from conftest import (
     comb,
@@ -48,6 +47,7 @@ from conftest import (
     notched_polygon,
     reflect_point,
     solve_or_none,
+    solve_stages,
     spiral_corridor,
 )
 
@@ -254,15 +254,15 @@ def test_panel_count_bound():
         P = notched_polygon(seed)
         for th in (19.0, 101.0):
             res = solve_or_none(P, th)
-            if res is None or res.reduced is None:
+            if res is None or not res.rivals:
                 continue
-            rp = res.reduced
+            rp, tri, cands = solve_stages(P, res)
             if len(rp.essential) < 2:
                 continue
-            tri = triangulate(rp)
-            for v in res.candidates:
+            for v in cands:
                 S = unroll(rp, tri, v)
-                assert len(S.panels) <= 6 * len(tri.triangles)
+                # a sleeve has one portal fewer than panels
+                assert len(S.portals) + 1 <= 6 * len(tri.triangles)
                 checked += 1
     assert checked > 0
 
@@ -319,7 +319,7 @@ def _reference_unroll(rp, tri, v):
 
     order = sorted(rp.essential, key=lambda pair: (pair[0] - vi) % m)
     if not order:
-        return Sleeve((), (), (), (), (T_IDENTITY,), v_pt, v_pt, vi, rp)
+        return Sleeve((), (), (), (T_IDENTITY,), v_pt, v_pt, vi, rp)
 
     transforms = [T_IDENTITY]
     mirrors = []
@@ -340,15 +340,12 @@ def _reference_unroll(rp, tri, v):
                                          [gate_tris[i + 1]]))
     legs.append(_reference_tree_path(tri, [gate_tris[-1]], v_tris))
 
-    panels = []
     portals = []
+    prev = None
     for copy, leg in enumerate(legs):
         t = transforms[copy]
         for j, ti in enumerate(leg):
-            world = tuple(t_apply(t, p) for p in tri.triangle_points(ti))
-            panel = Panel(copy, ti, world)
-            if panels:
-                prev = panels[-1]
+            if prev is not None:
                 if j == 0:
                     # crossing mirror `copy`: portal is the mirror segment
                     ei = order[copy - 1][0]
@@ -356,7 +353,7 @@ def _reference_unroll(rp, tri, v):
                     portal_pts = (mirrors[copy - 1].a, mirrors[copy - 1].b)
                     mirror_idx = copy - 1
                 else:
-                    shared = tuple(x for x in tri.triangles[prev.tri]
+                    shared = tuple(x for x in tri.triangles[prev]
                                    if x in tri.triangles[ti])
                     if len(shared) != 2:
                         raise GeometryError("consecutive panels share no "
@@ -370,9 +367,9 @@ def _reference_unroll(rp, tri, v):
                 if orient_value(left, right, r_world) < 0.0:
                     left, right = right, left
                 portals.append(Portal(left, right, mirror_idx))
-            panels.append(panel)
+            prev = ti
 
-    return Sleeve(tuple(panels), tuple(portals), tuple(mirrors),
+    return Sleeve(tuple(portals), tuple(mirrors),
                   tuple(g for _, g in order), tuple(transforms),
                   v_pt, t_apply(transforms[-1], v_pt), vi, rp)
 
@@ -495,15 +492,14 @@ def test_unroll_and_shortest_path_match_reference():
     sleeves = paths_with_bends = 0
     for P, th in _sleeve_cases():
         res = solve_or_none(P, th)
-        if res is None or res.reduced is None:
+        if res is None or not res.rivals:
             continue
-        rp = res.reduced
-        tri = triangulate(rp)
-        for v in res.candidates:
+        rp, tri, cands = solve_stages(P, res)
+        for v in cands:
             want = _reference_unroll(rp, tri, v)
             got = unroll(rp, tri, v)
             # repr tells -0.0 from 0.0 and prints every float exactly
-            for name in ("portals", "panels", "mirrors", "transforms",
+            for name in ("portals", "mirrors", "transforms",
                          "image", "source", "source_index", "gates"):
                 assert repr(getattr(got, name)) == repr(getattr(want, name)), \
                     (name, th)
@@ -543,14 +539,13 @@ def test_fold_back_isometry_and_shortest_choice():
     for seed in range(10):
         for P in (corpus_polygon(seed), notched_polygon(seed)):
             res = solve_or_none(P, 19.0)
-            if res is None or res.reduced is None:
+            if res is None or not res.rivals:
                 continue
-            rp = res.reduced
+            rp, tri, cands = solve_stages(P, res)
             if len(rp.essential) < 2:
                 continue
-            tri = triangulate(rp)
             best = math.inf
-            for v in res.candidates:
+            for v in cands:
                 S = unroll(rp, tri, v)
                 path = shortest_path(S)
                 tour = fold_back(S, path)
@@ -744,15 +739,14 @@ def test_fold_back_matches_reference_tags(corpus_solves):
     search."""
     folds = points = 0
     for P, th, res in corpus_solves:
-        if res.reduced is None:
+        if not res.rivals:
             assert len(res.tour.cycle) == 1
             want = _reference_tag_point(res.tour.cycle[0], P, res.gates)
             assert _tag_key(res.tour.tags[0]) == _tag_key(want), th
             points += 1
             continue
-        rp = res.reduced
-        tri = triangulate(rp)
-        for v, rival in zip(res.candidates, res.rivals):
+        rp, tri, cands = solve_stages(P, res)
+        for v, rival in zip(cands, res.rivals):
             S = unroll(rp, tri, v)
             path = shortest_path(S)
             want = _reference_fold_back(S, path)

@@ -3,21 +3,19 @@ import random
 
 import pytest
 
-from monowatch import (
-    Angle,
-    EventAngleError,
-    GeometryError,
-    solve_theta,
-    tour_length,
-)
+from monowatch import Angle, EventAngleError, GeometryError, solve_theta
 from monowatch.oracle import validate_tour
+from monowatch.sleeve import tour_length
 from monowatch.solver import decompose_subpaths
 
 from conftest import (
+    THREE_GATE_PTS,
     corpus_polygon,
+    make_polygon,
     nonevent_angles,
     notched_polygon,
     solve_or_none,
+    solve_stages,
 )
 
 
@@ -26,7 +24,7 @@ def test_square_any_angle_is_point(square):
     assert res.tour.length == 0.0
     assert [tuple(p) for p in res.tour.cycle] == [(0.0, 0.0)]
     assert res.gates == ()
-    assert res.subpaths == ()
+    assert decompose_subpaths(res.tour) == []
 
 
 def test_unotch_common_point(unotch):
@@ -43,7 +41,8 @@ def test_double_notch_at_zero(double):
     assert sorted(tuple(p) for p in res.tour.cycle) == [(2.5, 2.0), (2.5, 4.0)]
     assert all(t.kind == "moving" for t in res.tour.tags)
     # candidates are the endpoints of the two gate chords
-    assert sorted(tuple(p) for p in res.candidates) == [
+    _, _, cands = solve_stages(double, res)
+    assert sorted(tuple(p) for p in cands) == [
         (2.0, 2.0), (2.5, 4.0), (5.5, 2.0), (6.0, 4.0)]
 
 
@@ -61,10 +60,12 @@ def test_candidate_count_matches_gate_colors(toothgap):
     # two gates of one color leave exactly two starting candidates
     res = solve_theta(toothgap, Angle(10.0))
     assert {g.color.name for g in res.gates} == {"BLUE"}
-    assert sorted(tuple(p) for p in res.candidates) == [(6.5, 6.0), (8.0, 8.0)]
+    _, _, cands = solve_stages(toothgap, res)
+    assert sorted(tuple(p) for p in cands) == [(6.5, 6.0), (8.0, 8.0)]
     res = solve_theta(toothgap, Angle(130.0))
     assert {g.color.name for g in res.gates} == {"RED"}
-    assert sorted(tuple(p) for p in res.candidates) == [(5.0, 8.0), (6.5, 6.0)]
+    _, _, cands = solve_stages(toothgap, res)
+    assert sorted(tuple(p) for p in cands) == [(5.0, 8.0), (6.5, 6.0)]
 
 
 DOUBLE_CURVE = [
@@ -99,6 +100,27 @@ def test_length_curve_regression(double, toothgap):
     for th, want in TOOTHGAP_CURVE:
         got = solve_theta(toothgap, Angle(th)).tour.length
         assert got == pytest.approx(want, abs=1e-9), th
+
+
+@pytest.mark.parametrize("theta", [97.5, 110.5, 115.0968, 122.5])
+def test_three_gate_tour_is_frame_invariant(threegate, theta):
+    """A tour through three gates, the only case that adds each arc's
+    same-color pick to the chord-end candidates, validates, and keeps
+    its length under a cyclic shift of the vertex list and under the
+    mirror (x, y) -> (x, -y) with the order reversed and theta -> 180 -
+    theta."""
+    res = solve_theta(threegate, Angle(theta))
+    assert len(res.gates) == 3
+    assert res.tour.length > 1.0
+    assert validate_tour(threegate, Angle(theta), res.tour).valid
+    tie = 1e-9 * (1.0 + res.tour.length)
+    for s in (1, 7, 13):
+        shifted = make_polygon(THREE_GATE_PTS[s:] + THREE_GATE_PTS[:s])
+        got = solve_theta(shifted, Angle(theta)).tour.length
+        assert abs(got - res.tour.length) <= tie, s
+    mirrored = make_polygon([(x, -y) for x, y in reversed(THREE_GATE_PTS)])
+    got = solve_theta(mirrored, Angle(180.0 - theta)).tour.length
+    assert abs(got - res.tour.length) <= tie
 
 
 def test_solve_rejects_event_angle(double):
@@ -188,4 +210,5 @@ def test_solve_is_deterministic(double, toothgap):
         b = solve_theta(P, Angle(th))
         assert a.tour.length == b.tour.length
         assert [tuple(p) for p in a.tour.cycle] == [tuple(p) for p in b.tour.cycle]
-        assert [tuple(p) for p in a.candidates] == [tuple(p) for p in b.candidates]
+        assert ([tuple(p) for p in solve_stages(P, a)[2]]
+                == [tuple(p) for p in solve_stages(P, b)[2]])
