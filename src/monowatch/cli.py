@@ -24,12 +24,7 @@ from .geom import (
     ring_area,
 )
 from .oracle import dense_sweep, validate_tour
-from .rotor import (
-    EVENT_WINDOW_DEG,
-    SweepConfig,
-    enumerate_candidate_events,
-    optimize,
-)
+from .rotor import EVENT_WINDOW_DEG, enumerate_candidate_events, optimize
 from .sleeve import Tour
 from .solver import SolveResult, solve_theta
 
@@ -309,33 +304,6 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _load_config(path: Optional[str]) -> SweepConfig:
-    if path is None:
-        return SweepConfig()
-    doc = _read_json(path)
-    if not isinstance(doc, dict):
-        raise _InputError(f"{path}: sweep config must be an object")
-    cfg = SweepConfig()
-    known = {"samples_per_interval": int, "refine_tol_deg": float,
-             "jump_threshold": float, "grid_fallback_step_deg": float}
-    for key, val in doc.items():
-        if key not in known:
-            raise _InputError(f"{path}: unknown config key {key!r}")
-        # JSON numbers only: a bool is an int to Python, and a string or
-        # a fraction given for a count is refused rather than coerced
-        kind = known[key]
-        allowed = (int, float) if kind is float else int
-        if isinstance(val, bool) or not isinstance(val, allowed):
-            what = "an integer" if kind is int else "a number"
-            raise _InputError(f"{path}: config key {key!r} must be {what}, "
-                              f"got {json.dumps(val)}")
-        try:
-            setattr(cfg, key, kind(val))
-        except OverflowError:
-            raise _InputError(f"{path}: config key {key!r} is out of range")
-    return cfg
-
-
 def _write_csv(path: Optional[str],
                rows: Sequence[Tuple[float, float]]) -> None:
     lines = ["theta_deg,length"]
@@ -345,8 +313,7 @@ def _write_csv(path: Optional[str],
 
 def cmd_optimize(args) -> int:
     P, name = load_polygon(args.polygon)
-    cfg = _load_config(args.config)
-    report = optimize(P, cfg)
+    report = optimize(P)
     doc = _tour_doc(report.best_tour)
     doc.pop("length")
     doc.update({
@@ -421,7 +388,6 @@ def _build_parser() -> _Parser:
 
     p_opt = sub.add_parser("optimize", help="sweep all angles")
     p_opt.add_argument("--polygon", required=True)
-    p_opt.add_argument("--config", default=None)
     p_opt.add_argument("--csv", default=None)
     p_opt.add_argument("--json", default=None)
     p_opt.add_argument("--svg", default=None)

@@ -30,8 +30,8 @@ from .geom import (
     Point,
     Polygon,
     Segment,
+    _dist2,
     chords_at,
-    ring_contains,
     settle_chord,
 )
 
@@ -123,23 +123,6 @@ def color_of_sides(s_prev: float, s_next: float) -> VertexClass:
     if s_prev > 0.0 and s_next > 0.0:
         return VertexClass.BLUE
     return VertexClass.UNCOLORED
-
-
-def classify_vertex(P: Polygon, v, theta: Angle) -> VertexClass:
-    """Color of vertex v against the directed line at angle theta.
-
-    Red means both incident edges stay locally right of the line, Blue
-    means left, Uncolored means they straddle it.  Boundary flags an
-    incident edge parallel to theta, where the coloring is undefined.
-    """
-    if isinstance(v, int):
-        vi = v % P.n
-    else:
-        vi = P.find_vertex(Point(v[0], v[1]))
-        if vi is None:
-            raise GeometryError(f"{v} is not a vertex of the polygon")
-    r = theta.radians
-    return _classify_direction(P, vi, math.cos(r), math.sin(r))
 
 
 def _validity_event(P: Polygon, theta: Angle, vi: int) -> EventAngleError:
@@ -240,19 +223,6 @@ def _strictly_within(inner: Tuple[float, float], outer: Tuple[float, float],
                                <= (outer[1] - s) % n)
 
 
-def dominates(P: Polygon, c1: ThetaCut, c2: ThetaCut) -> bool:
-    """True when the left region of c1 is strictly inside that of c2.
-
-    Cuts at one angle are parallel chords that never cross, so their
-    left regions are nested, disjoint or cover P together, and region
-    inclusion is arc inclusion; two arcs inside each other are equal.
-    Cuts at different angles cannot be compared.
-    """
-    if c1.theta.degrees != c2.theta.degrees:
-        raise GeometryError("cannot compare cuts at different angles")
-    return _strictly_within(boundary_arc(P, c1), boundary_arc(P, c2), P.n)
-
-
 def snap_key(P: Polygon, q: Point, key: float) -> float:
     """Walk key of a chord end q with boundary key ``key``: within
     TAU_ONEDGE of a vertex of its edge it takes that vertex's key, so
@@ -292,20 +262,3 @@ def left_region(P: Polygon, cut: ThetaCut) -> Tuple[Point, ...]:
     if len(ring) < 3:
         raise GeometryError(f"left region of {cut.describe()} is degenerate")
     return tuple(ring)
-
-
-def _dist2(p: Point, q: Point) -> float:
-    return (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
-
-
-def left_region_contains(P: Polygon, cut: ThetaCut, p: Point) -> bool:
-    """Whether p lies in the closed left region of the cut, within
-    TAU_ONEDGE.
-
-    p must lie in the closed polygon; asking about outside points is a
-    contract violation and raises.
-    """
-    p = Point(p[0], p[1])
-    if P.contains(p) < 0:
-        raise GeometryError(f"point {tuple(p)} lies outside the polygon")
-    return ring_contains(left_region(P, cut), p) >= 0

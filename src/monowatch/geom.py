@@ -116,6 +116,10 @@ def orient(p: Point, q: Point, r: Point) -> int:
     return 0
 
 
+def _dist2(p: Point, q: Point) -> float:
+    return (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
+
+
 def point_segment_distance(p: Point, seg: Segment) -> float:
     ax, ay = seg.a
     bx, by = seg.b

@@ -23,14 +23,16 @@ from typing import FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from .cuts import ThetaCut, VertexClass, _classify_direction, color_of_sides
 from .geom import (
+    TAG_TOL,
     TAU_ORIENT,
     GeometryError,
     Point,
     Polygon,
     Segment,
+    _dist2,
     point_segment_distance,
 )
-from .sleeve import TAG_TOL, Tour, _dist2
+from .sleeve import Tour
 from .solver import SolveResult, beats
 
 

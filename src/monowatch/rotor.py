@@ -26,13 +26,17 @@ a golden-section search on the same certified structures, solving in
 full where none holds, and keeps the length read at its argmin.  Only
 the best candidate is confirmed by a full solve; one that disagrees is
 noted and replaced by the solve's length, and the best is picked again.
+
+How densely the sweep samples is fixed by four constants:
+SAMPLES_PER_INTERVAL, GRID_FALLBACK_STEP_DEG, JUMP_THRESHOLD and
+REFINE_TOL_DEG.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 from .cuts import VertexClass, _classify_direction
 from .geom import (
@@ -66,6 +70,17 @@ CLASSIFY_PROBE_DEG = 1e-6
 # CLI refuses to solve there, and a detected event this close to an
 # enumerated one restates it
 EVENT_WINDOW_DEG = 1e-3
+# most samples an event-free interval is scanned with
+SAMPLES_PER_INTERVAL = 64
+# widest spacing of an interval's samples, unless that would take more
+# than SAMPLES_PER_INTERVAL of them
+GRID_FALLBACK_STEP_DEG = 0.05
+# largest length change between neighbouring samples, per unit of
+# 1 + diameter, that is not bisected as an event
+JUMP_THRESHOLD = 0.05
+# width to which a bisected event and a refined minimum are narrowed;
+# an interval no wider is solved once at its midpoint
+REFINE_TOL_DEG = 1e-6
 
 
 @dataclass(frozen=True)
@@ -80,14 +95,6 @@ class Event:
 
     def sort_key(self):
         return (self.angle.degrees, self.type.value, self.witnesses)
-
-
-@dataclass
-class SweepConfig:
-    samples_per_interval: int = 64
-    refine_tol_deg: float = 1e-6
-    jump_threshold: float = 0.05
-    grid_fallback_step_deg: float = 0.05
 
 
 @dataclass
@@ -315,7 +322,6 @@ def _classify_split(P: Polygon, sa: tuple, sb: tuple) -> EventType:
 
 
 def _refine_minimum(P: Polygon, a: float, b: float, start: _Frozen,
-                    tol: float,
                     notes: List[str]) -> Optional[Tuple[float, float]]:
     """Golden-section minimum over (a, b) on the structures frozen in it.
 
@@ -344,7 +350,7 @@ def _refine_minimum(P: Polygon, a: float, b: float, start: _Frozen,
     x2 = a + gr * (b - a)
     f1, f2 = f(x1), f(x2)
     iters = 0
-    while b - a > tol and iters < 80:
+    while b - a > REFINE_TOL_DEG and iters < 80:
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - gr * (b - a)
@@ -362,8 +368,8 @@ def _refine_minimum(P: Polygon, a: float, b: float, start: _Frozen,
 
 
 def _bisect_change(P: Polygon, known: _Structures, a: float, fa: _Frozen,
-                   b: float, fb: _Frozen,
-                   tol: float) -> Tuple[float, EventType, Tuple[int, ...]]:
+                   b: float, fb: _Frozen
+                   ) -> Tuple[float, EventType, Tuple[int, ...]]:
     """Narrow a structure change between a and b down to an event.
 
     Each midpoint is read as ``known.at`` reads it, and its signature
@@ -374,10 +380,8 @@ def _bisect_change(P: Polygon, known: _Structures, a: float, fa: _Frozen,
     """
     lo, hi = a, b
     f_lo, f_hi = fa, fb
-    while hi - lo > tol:
+    while hi - lo > REFINE_TOL_DEG:
         mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break  # lo and hi are adjacent floats; tol is below their spacing
         hit = known.at(mid)
         if hit is None:
             break
@@ -395,8 +399,7 @@ def _bisect_change(P: Polygon, known: _Structures, a: float, fa: _Frozen,
     return 0.5 * (lo + hi), _classify_split(P, f_lo.sig, f_hi.sig), witness
 
 
-def _scan_interval(P: Polygon, lo: float, hi: float, cfg: SweepConfig,
-                   depth: int, state: _ScanState,
+def _scan_interval(P: Polygon, lo: float, hi: float, depth: int, state: _ScanState,
                    known: Optional[_Structures] = None) -> None:
     """Sample one event-free interval on certified frozen structures.
 
@@ -412,7 +415,7 @@ def _scan_interval(P: Polygon, lo: float, hi: float, cfg: SweepConfig,
     solves every angle in full and is audited no further.
     """
     width = hi - lo
-    if width <= max(cfg.refine_tol_deg, 10 * ANGLE_MERGE_DEG) or depth > 6:
+    if width <= max(REFINE_TOL_DEG, 10 * ANGLE_MERGE_DEG) or depth > 6:
         mid = 0.5 * (lo + hi)
         r = _solve_robust(P, mid)
         if r is not None:
@@ -422,8 +425,8 @@ def _scan_interval(P: Polygon, lo: float, hi: float, cfg: SweepConfig,
         return
 
     delta = min(1e-4, width / 100.0)
-    n = int(min(cfg.samples_per_interval,
-                max(8, math.ceil(width / cfg.grid_fallback_step_deg) + 1)))
+    n = int(min(SAMPLES_PER_INTERVAL,
+                max(8, math.ceil(width / GRID_FALLBACK_STEP_DEG) + 1)))
     xs = [lo + delta + i * (width - 2 * delta) / (n - 1) for i in range(n)]
     if known is None:
         known = _Structures(P)
@@ -433,15 +436,14 @@ def _scan_interval(P: Polygon, lo: float, hi: float, cfg: SweepConfig,
         state.intervals.append((lo, hi))
         state.notes.append(f"interval ({lo:.6f},{hi:.6f}) unsolvable")
         return
-    jump_cap = cfg.jump_threshold * (1.0 + P.diameter)
+    jump_cap = JUMP_THRESHOLD * (1.0 + P.diameter)
 
     for (x, f, L), (y, g, M) in zip(pts, pts[1:]):
         if f.sig != g.sig or abs(M - L) > jump_cap:
-            ang, etype, witness = _bisect_change(P, known, x, f, y, g,
-                                                 cfg.refine_tol_deg)
+            ang, etype, witness = _bisect_change(P, known, x, f, y, g)
             state.detected.append(Event(Angle(ang), etype, witness))
-            _scan_interval(P, lo, ang, cfg, depth + 1, state, known)
-            _scan_interval(P, ang, hi, cfg, depth + 1, state, known)
+            _scan_interval(P, lo, ang, depth + 1, state, known)
+            _scan_interval(P, ang, hi, depth + 1, state, known)
             return
 
     x, f, L = pts[-1]
@@ -460,7 +462,7 @@ def _scan_interval(P: Polygon, lo: float, hi: float, cfg: SweepConfig,
             state.notes.append(
                 f"interval ({lo:.6f},{hi:.6f}): the audit solve at "
                 f"{x:.6f} deg {why}; changes located by full solves")
-            _scan_interval(P, lo, hi, cfg, depth, state, _Solves(P))
+            _scan_interval(P, lo, hi, depth, state, _Solves(P))
             return
     _record_clean(lo, hi, delta, pts, state)
 
@@ -492,23 +494,6 @@ def _record_clean(lo: float, hi: float, delta: float,
         a = pts[i - 1][0] if i > 0 else lo + delta
         b = pts[i + 1][0] if i + 1 < len(pts) else hi - delta
         state.brackets.append((a, b, pts[i][1]))
-
-
-def _check_config(cfg: SweepConfig) -> None:
-    """Refuse config values the sweep cannot run on, naming the key."""
-    spi = cfg.samples_per_interval
-    if not isinstance(spi, int) or spi < 2:
-        raise GeometryError(
-            f"sweep config samples_per_interval must be an integer >= 2, "
-            f"got {spi!r}")
-    for key, strict in (("refine_tol_deg", True),
-                        ("grid_fallback_step_deg", True),
-                        ("jump_threshold", False)):
-        val = getattr(cfg, key)
-        if not (math.isfinite(val) and (val > 0.0 if strict else val >= 0.0)):
-            bound = "> 0" if strict else ">= 0"
-            raise GeometryError(
-                f"sweep config {key} must be finite and {bound}, got {val!r}")
 
 
 def _solve_at(P: Polygon, theta: float) -> Optional[SolveResult]:
@@ -550,8 +535,7 @@ def _confirm(P: Polygon, candidates: Sequence[Tuple[float, float]],
         lengths[i] = full
 
 
-def _sweep(P: Polygon, spans: Sequence[Tuple[float, float]],
-           cfg: SweepConfig
+def _sweep(P: Polygon, spans: Sequence[Tuple[float, float]]
            ) -> Tuple[_ScanState, float, float, Optional[SolveResult]]:
     """Scan every span, then refine; returns the best angle and length
     with the full solve that confirmed them.
@@ -560,46 +544,20 @@ def _sweep(P: Polygon, spans: Sequence[Tuple[float, float]],
     the scan found none; its midpoint is returned with length 0 and no
     solve.  Otherwise ``_confirm`` picks the best candidate.
     """
-    _check_config(cfg)
     state = _ScanState()
     for lo, hi in spans:
-        _scan_interval(P, lo, hi, cfg, 0, state)
+        _scan_interval(P, lo, hi, 0, state)
     if state.flats:
         _, mid = max(state.flats)
         return state, mid, 0.0, None
     for a, b, start in state.brackets:
-        refined = _refine_minimum(P, a, b, start, cfg.refine_tol_deg,
-                                  state.notes)
+        refined = _refine_minimum(P, a, b, start, state.notes)
         if refined is not None:
             state.candidates.append(refined)
     if not state.candidates:
         raise GeometryError("no solvable angle in the sweep")
     theta, res = _confirm(P, state.candidates, state.notes)
     return state, theta, res.tour.length, res
-
-
-def minimize_interval(P: Polygon, lo: Union[Angle, float],
-                      hi: Union[Angle, float],
-                      config: Optional[SweepConfig] = None) -> Tuple[Angle, float]:
-    """Shortest tour over an angle interval, splitting at hidden events.
-
-    Returns the minimizing angle and its length.  The interval is taken
-    in degrees; hi may exceed 180 to express wraparound past 0.  A bound
-    that is not finite is refused, naming it.
-    """
-    lo_deg = lo.degrees if isinstance(lo, Angle) else float(lo)
-    hi_deg = hi.degrees if isinstance(hi, Angle) else float(hi)
-    for name, deg in (("lo", lo_deg), ("hi", hi_deg)):
-        if not math.isfinite(deg):
-            raise GeometryError(f"minimize_interval bound {name} must be "
-                                f"finite, got {deg!r}")
-    if hi_deg < lo_deg:
-        hi_deg += 180.0
-    if hi_deg <= lo_deg:
-        raise GeometryError("empty angle interval")
-    _, theta, length, _ = _sweep(P, [(lo_deg, hi_deg)],
-                                 config or SweepConfig())
-    return Angle(theta), length
 
 
 def _merge_detected(base: Sequence[Event],
@@ -621,7 +579,7 @@ def _merge_detected(base: Sequence[Event],
     return merged
 
 
-def optimize(P: Polygon, config: Optional[SweepConfig] = None) -> SweepReport:
+def optimize(P: Polygon) -> SweepReport:
     """Sweep all directions and return the best angle with its tour.
 
     Flat zero-length stretches win by width, represented by their
@@ -630,8 +588,7 @@ def optimize(P: Polygon, config: Optional[SweepConfig] = None) -> SweepReport:
     samples, and the final event-free intervals.
     """
     base_events = enumerate_candidate_events(P)
-    state, best_theta, _, best = _sweep(P, _interval_list(P, base_events),
-                                        config or SweepConfig())
+    state, best_theta, _, best = _sweep(P, _interval_list(P, base_events))
     best_theta = normalize_deg(best_theta)
     if best is None:
         best = _solve_at(P, best_theta)

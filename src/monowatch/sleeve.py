@@ -27,6 +27,7 @@ from .geom import (
     Point,
     Polygon,
     Segment,
+    _dist2,
     orient_value,
     point_segment_distance,
     segment_segment_intersection,
@@ -48,11 +49,6 @@ class Triangulation:
     # dual-tree paths found by _tree_path, keyed by (sources, targets)
     _legs: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Tuple[int, ...]] = \
         field(default_factory=dict, repr=False, compare=False)
-
-    def triangle_points(self, ti: int) -> Tuple[Point, Point, Point]:
-        a, b, c = self.triangles[ti]
-        v = self.polygon.vertices
-        return (v[a], v[b], v[c])
 
     def boundary_edge_triangle(self, ei: int) -> int:
         m = self.polygon.n
@@ -270,11 +266,11 @@ def _tree_path(tri: Triangulation, sources: Sequence[int],
     return hit_path
 
 
-def unroll(rp: ReducedPolygon, tri: Triangulation, v) -> Sleeve:
-    """Unroll the sleeve of panels from vertex v across every gate chord.
+def unroll(rp: ReducedPolygon, tri: Triangulation, vi: int) -> Sleeve:
+    """Unroll the sleeve of panels from vertex vi across every gate chord.
 
     Essential edges are taken in the order a counterclockwise boundary
-    walk from v meets them; each one becomes a mirror and everything
+    walk from vi meets them; each one becomes a mirror and everything
     after it is reflected across the mirror's current image.
 
     Each reduced-polygon vertex is mapped at most once per copy, with
@@ -286,12 +282,6 @@ def unroll(rp: ReducedPolygon, tri: Triangulation, v) -> Sleeve:
     polygon = rp.polygon
     verts = polygon.vertices
     m = polygon.n
-    if isinstance(v, int):
-        vi = v % m
-    else:
-        vi = polygon.find_vertex(Point(v[0], v[1]))
-        if vi is None:
-            raise GeometryError(f"{v} is not a vertex of the reduced polygon")
     v_pt = verts[vi]
 
     order = sorted(rp.essential, key=lambda pair: (pair[0] - vi) % m)
@@ -370,10 +360,6 @@ def unroll(rp: ReducedPolygon, tri: Triangulation, v) -> Sleeve:
     return Sleeve(tuple(portals), tuple(mirrors),
                   tuple(g for _, g in order), tuple(transforms),
                   v_pt, maps[-1][vi], vi, rp, tuple(ends))
-
-
-def _dist2(a: Point, b: Point) -> float:
-    return (a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2
 
 
 def shortest_path(sleeve: Sleeve) -> Tuple[Point, ...]:

@@ -15,6 +15,14 @@ from typing import Optional, Sequence
 import pytest
 
 from monowatch import Angle, EventAngleError, solver
+from monowatch.cuts import (
+    ThetaCut,
+    VertexClass,
+    _classify_direction,
+    _strictly_within,
+    boundary_arc,
+    left_region,
+)
 from monowatch.gates import reduce_polygon
 from monowatch.geom import (
     TAU_ONEDGE,
@@ -25,6 +33,7 @@ from monowatch.geom import (
     Polygon,
     Segment,
     chords_at,
+    ring_contains,
     settle_chord,
 )
 from monowatch.rotor import enumerate_candidate_events
@@ -288,7 +297,8 @@ def _reference_split_ring(ring: Sequence[Point], a: Point, b: Point,
     return left, right
 
 
-# Geometry that only the tests call, kept here verbatim from ``geom``.
+# Geometry that only the tests call, kept here verbatim from ``geom`` and
+# ``cuts``.
 
 def reflect_point(p: Point, mirror: Segment) -> Point:
     """Image of p under reflection across the supporting line of mirror."""
@@ -318,3 +328,46 @@ def chord_through_vertex(P: Polygon, vi: int, theta: Angle,
     base = theta.degrees
     return settle_chord(P, vi, base, chords_at(P, (vi,), base)[0][0],
                         diagnostics)
+
+
+def classify_vertex(P: Polygon, v, theta: Angle) -> VertexClass:
+    """Color of vertex v against the directed line at angle theta.
+
+    Red means both incident edges stay locally right of the line, Blue
+    means left, Uncolored means they straddle it.  Boundary flags an
+    incident edge parallel to theta, where the coloring is undefined.
+    """
+    if isinstance(v, int):
+        vi = v % P.n
+    else:
+        vi = P.find_vertex(Point(v[0], v[1]))
+        if vi is None:
+            raise GeometryError(f"{v} is not a vertex of the polygon")
+    r = theta.radians
+    return _classify_direction(P, vi, math.cos(r), math.sin(r))
+
+
+def dominates(P: Polygon, c1: ThetaCut, c2: ThetaCut) -> bool:
+    """True when the left region of c1 is strictly inside that of c2.
+
+    Cuts at one angle are parallel chords that never cross, so their
+    left regions are nested, disjoint or cover P together, and region
+    inclusion is arc inclusion; two arcs inside each other are equal.
+    Cuts at different angles cannot be compared.
+    """
+    if c1.theta.degrees != c2.theta.degrees:
+        raise GeometryError("cannot compare cuts at different angles")
+    return _strictly_within(boundary_arc(P, c1), boundary_arc(P, c2), P.n)
+
+
+def left_region_contains(P: Polygon, cut: ThetaCut, p: Point) -> bool:
+    """Whether p lies in the closed left region of the cut, within
+    TAU_ONEDGE.
+
+    p must lie in the closed polygon; asking about outside points is a
+    contract violation and raises.
+    """
+    p = Point(p[0], p[1])
+    if P.contains(p) < 0:
+        raise GeometryError(f"point {tuple(p)} lies outside the polygon")
+    return ring_contains(left_region(P, cut), p) >= 0

@@ -130,7 +130,7 @@ def test_criterion_4_unrolling_is_isometric():
             if len(rp.essential) < 2:
                 continue
             for v in cands:
-                S = unroll(rp, tri, v)
+                S = unroll(rp, tri, rp.polygon.find_vertex(v))
                 path = shortest_path(S)
                 tour = fold_back(S, path)
                 path_len = sum(map(math.dist, path, path[1:]))

@@ -151,6 +151,8 @@ def test_exit_one_on_bad_inputs(tmp_path, capsys):
          "--tour", str(nan_tour)],
         ["solve", "--polygon", str(inf_name), "--theta-deg", "10"],
         ["solve", "--polygon", str(nan_name), "--theta-deg", "10"],
+        # the sweep's sampling is fixed: no config file is read
+        ["optimize", "--polygon", good, "--config", good],
     ]
     for argv in cases:
         rc, out, err = _run(capsys, argv)
@@ -167,38 +169,6 @@ def test_sweep_step_must_be_finite_and_positive(tmp_path, capsys, step):
                                "--step-deg", step])
     assert rc == 1
     assert "--step-deg" in err
-
-
-@pytest.mark.parametrize("doc", [
-    pytest.param({"sample_count": 9}, id="sample_count"),
-    pytest.param({"samples_per_interval": 1}, id="samples_per_interval-1"),
-    pytest.param({"samples_per_interval": 0}, id="samples_per_interval-0"),
-    pytest.param({"refine_tol_deg": 0}, id="refine_tol_deg-0"),
-    pytest.param({"refine_tol_deg": -1}, id="refine_tol_deg-neg"),
-    pytest.param({"refine_tol_deg": "nan"}, id="refine_tol_deg-nan"),
-    pytest.param({"grid_fallback_step_deg": 0}, id="grid_fallback_step_deg-0"),
-    pytest.param({"grid_fallback_step_deg": "inf"},
-                 id="grid_fallback_step_deg-inf"),
-    pytest.param({"jump_threshold": -0.5}, id="jump_threshold-neg"),
-    pytest.param({"samples_per_interval": 8.9},
-                 id="samples_per_interval-fraction"),
-    pytest.param({"samples_per_interval": True},
-                 id="samples_per_interval-bool"),
-    pytest.param({"samples_per_interval": "12"},
-                 id="samples_per_interval-string"),
-    pytest.param({"refine_tol_deg": True}, id="refine_tol_deg-bool"),
-])
-def test_unknown_config_key(tmp_path, capsys, doc):
-    """Unknown keys and values the sweep cannot run on exit 1, naming
-    the key."""
-    (key,) = doc
-    poly = _write_polygon(tmp_path, SQUARE_PTS)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(doc))
-    rc, _, err = _run(capsys, ["optimize", "--polygon", poly,
-                               "--config", str(cfg)])
-    assert rc == 1
-    assert key in err
 
 
 def test_optimize_double(tmp_path, capsys):
@@ -221,19 +191,6 @@ def test_optimize_double(tmp_path, capsys):
     first = lines[1].split(",")
     assert len(first) == 2
     float(first[0]), float(first[1])
-
-
-def test_optimize_respects_config(tmp_path, capsys):
-    poly = _write_polygon(tmp_path, UNOTCH_PTS)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"samples_per_interval": 8}))
-    rc, out, _ = _run(capsys, ["optimize", "--polygon", poly,
-                               "--config", str(cfg)])
-    assert rc == 0
-    small = json.loads(out)["sample_count"]
-    rc, out, _ = _run(capsys, ["optimize", "--polygon", poly])
-    big = json.loads(out)["sample_count"]
-    assert small < big
 
 
 def test_optimize_writes_svg(tmp_path, capsys):

@@ -12,10 +12,8 @@ from monowatch.cuts import (
     VertexClass,
     _classify_direction,
     _validity_event,
-    classify_vertex,
     compute_cuts,
     left_region,
-    left_region_contains,
 )
 from monowatch.geom import (
     CHORD_NUDGE_DEG,
@@ -32,8 +30,10 @@ from monowatch.rotor import enumerate_candidate_events
 from conftest import (
     _reference_split_ring,
     chord_through_vertex,
+    classify_vertex,
     comb,
     corpus_polygon,
+    left_region_contains,
     mixed_corpus,
     spiral_corridor,
 )

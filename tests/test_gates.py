@@ -11,7 +11,6 @@ from monowatch.cuts import (
     ThetaCut,
     boundary_arc,
     compute_cuts,
-    dominates,
     left_region,
 )
 from monowatch.gates import (
@@ -38,6 +37,7 @@ from conftest import (
     _reference_split_ring,
     comb,
     corpus_polygon,
+    dominates,
     make_polygon,
     mixed_corpus,
     spiral_corridor,

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from monowatch import Angle, GeometryError, oracle, solve_theta
-from monowatch.cuts import CutKind, left_region_contains
+from monowatch.cuts import CutKind
 from monowatch.geom import (
     TAU_ONEDGE,
     Point,
@@ -24,6 +24,7 @@ from monowatch.sleeve import tour_length
 from conftest import (
     THREE_GATE_DEG,
     corpus_polygon,
+    left_region_contains,
     mixed_corpus,
     notched_polygon,
     spiral_corridor,

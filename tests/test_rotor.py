@@ -27,9 +27,7 @@ from monowatch.solver import beats
 from monowatch.rotor import (
     ANGLE_MERGE_DEG,
     Event,
-    SweepConfig,
     enumerate_candidate_events,
-    minimize_interval,
     optimize,
     structure_signature,
 )
@@ -71,11 +69,11 @@ class _RefState:
     notes: list = field(default_factory=list)
 
 
-def _reference_bisect(P, a, res_a, b, res_b, tol):
+def _reference_bisect(P, a, res_a, b, res_b):
     sig_a = structure_signature(res_a)
     lo, hi = a, b
     res_lo, res_hi = res_a, res_b
-    while hi - lo > tol:
+    while hi - lo > rotor.REFINE_TOL_DEG:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break  # lo and hi are adjacent floats; tol is below their spacing
@@ -90,9 +88,9 @@ def _reference_bisect(P, a, res_a, b, res_b, tol):
         P, structure_signature(res_lo), structure_signature(res_hi))
 
 
-def _reference_scan(P, lo, hi, cfg, depth, state):
+def _reference_scan(P, lo, hi, depth, state):
     width = hi - lo
-    if width <= max(cfg.refine_tol_deg, 10 * ANGLE_MERGE_DEG) or depth > 6:
+    if width <= max(rotor.REFINE_TOL_DEG, 10 * ANGLE_MERGE_DEG) or depth > 6:
         mid = 0.5 * (lo + hi)
         r = rotor._solve_robust(P, mid)
         if r is not None:
@@ -102,8 +100,8 @@ def _reference_scan(P, lo, hi, cfg, depth, state):
         return
 
     delta = min(1e-4, width / 100.0)
-    n = int(min(cfg.samples_per_interval,
-                max(8, math.ceil(width / cfg.grid_fallback_step_deg) + 1)))
+    n = int(min(rotor.SAMPLES_PER_INTERVAL,
+                max(8, math.ceil(width / rotor.GRID_FALLBACK_STEP_DEG) + 1)))
     xs = [lo + delta + i * (width - 2 * delta) / (n - 1) for i in range(n)]
     solved = [(x, rotor._solve_robust(P, x)) for x in xs]
     pts = [(x, r) for x, r in solved if r is not None]
@@ -113,16 +111,15 @@ def _reference_scan(P, lo, hi, cfg, depth, state):
         return
     sigs = [structure_signature(r) for _, r in pts]
     lens = [r.tour.length for _, r in pts]
-    jump_cap = cfg.jump_threshold * (1.0 + P.diameter)
+    jump_cap = rotor.JUMP_THRESHOLD * (1.0 + P.diameter)
 
     for i in range(len(pts) - 1):
         if sigs[i] != sigs[i + 1] or abs(lens[i + 1] - lens[i]) > jump_cap:
             ang, etype = _reference_bisect(P, pts[i][0], pts[i][1],
-                                           pts[i + 1][0], pts[i + 1][1],
-                                           cfg.refine_tol_deg)
+                                           pts[i + 1][0], pts[i + 1][1])
             state.detected.append(Event(Angle(ang), etype))
-            _reference_scan(P, lo, ang, cfg, depth + 1, state)
-            _reference_scan(P, ang, hi, cfg, depth + 1, state)
+            _reference_scan(P, lo, ang, depth + 1, state)
+            _reference_scan(P, ang, hi, depth + 1, state)
             return
 
     state.intervals.append((lo, hi))
@@ -145,18 +142,18 @@ def _reference_scan(P, lo, hi, cfg, depth, state):
         state.brackets.append((a, b) + pts[i])
 
 
-def _reference_sweep(P, cfg):
+def _reference_sweep(P):
     """The reference scan over every event-free interval, then the best
     length: a flat interval wins, else each bracket is refined."""
     state = _RefState()
     spans = rotor._interval_list(P, enumerate_candidate_events(P))
     for lo, hi in spans:
-        _reference_scan(P, lo, hi, cfg, 0, state)
+        _reference_scan(P, lo, hi, 0, state)
     if state.flats:
         return state, 0.0
     for a, b, x0, res0 in state.brackets:
         got = rotor._refine_minimum(P, a, b, rotor._frozen_at(P, x0, res0),
-                                    cfg.refine_tol_deg, [])
+                                    [])
         if got is not None:
             state.candidates.append(got)
     return state, min(L for _, L in state.candidates)
@@ -458,7 +455,7 @@ def rotor_sweeps():
         mp.setattr(rotor, "evaluate_close_tour", recording_evaluate)
         for label, P in _comparison_inputs().items():
             spans = rotor._interval_list(P, enumerate_candidate_events(P))
-            state, _, best, _ = rotor._sweep(P, spans, SweepConfig())
+            state, _, best, _ = rotor._sweep(P, spans)
             sweeps[label] = (state, best)
     return sweeps, frozen, evals
 
@@ -466,8 +463,7 @@ def rotor_sweeps():
 @pytest.fixture(scope="module")
 def scan_pairs(rotor_sweeps):
     """Label -> (polygon, reference state and best, rotor state and best)."""
-    cfg = SweepConfig()
-    return {label: (P, _reference_sweep(P, cfg), rotor_sweeps[0][label])
+    return {label: (P, _reference_sweep(P), rotor_sweeps[0][label])
             for label, P in _comparison_inputs().items()}
 
 
@@ -628,7 +624,7 @@ def test_freeze_compiles_each_rival_once(monkeypatch):
     for P in (make_polygon(DOUBLE_PTS), make_polygon(SPIRAL_PTS),
               spiral_corridor(1), comb(4)):
         spans = rotor._interval_list(P, enumerate_candidate_events(P))
-        rotor._sweep(P, spans, SweepConfig())
+        rotor._sweep(P, spans)
     assert all(got == (rivals or 1) for _, rivals, got in counts), counts
     assert any(kind == "point" for kind, _, _ in counts)
     assert any(rivals > 1 for _, rivals, _ in counts)
@@ -703,7 +699,7 @@ def test_frozen_refine_falls_back_past_an_event():
     notes = []
     x, length = rotor._refine_minimum(
         P, 12.5, 13.3, rotor._frozen_at(P, 12.6, solve_theta(P, Angle(12.6))),
-        1e-6, notes)
+        notes)
     assert len(notes) == 2
     assert all("bracket (12.500000, 13.300000) deg" in n for n in notes)
     assert "press certificate of vertex 14" in notes[0]
@@ -729,7 +725,7 @@ def test_frozen_refine_keeps_every_frozen_structure(monkeypatch):
     monkeypatch.setattr(rotor, "solve_theta", counting_solve)
     notes = []
     got = rotor._refine_minimum(P, 13.5, 14.5, rotor._frozen_at(P, 14.0, res0),
-                                1e-6, notes)
+                                notes)
     assert got == (14.145406184300118, 55.85066105419104)
     assert len(solved) <= 1
     assert len(notes) == len(solved)
@@ -761,60 +757,40 @@ def test_bisection_runs_once_per_hidden_event(double, monkeypatch):
     assert calls[0] == len(hidden)
 
 
-def test_minimize_interval_flat(square, double):
-    ang, val = minimize_interval(square, 10.0, 170.0)
+def test_sweep_span_flat(square, double):
+    _, _, val, _ = rotor._sweep(square, [(10.0, 170.0)])
     assert val == 0.0
-    ang, val = minimize_interval(double, 75.9638, 104.0362)
+    _, _, val, _ = rotor._sweep(double, [(75.9638, 104.0362)])
     assert val == 0.0
     # a flat stretch beats any positive local minimum in the interval
-    ang, val = minimize_interval(double, 0.001, 75.9637)
+    _, theta, val, _ = rotor._sweep(double, [(0.001, 75.9637)])
     assert val == 0.0
-    assert 26.56505 <= ang.degrees <= 75.9637
+    assert 26.56505 <= theta <= 75.9637
 
 
-def test_minimize_interval_positive(double):
-    ang, val = minimize_interval(double, 1.0, 26.5)
+def test_sweep_span_positive(double):
+    _, theta, val, _ = rotor._sweep(double, [(1.0, 26.5)])
     assert val == pytest.approx(0.010170624150936522, abs=1e-9)
-    assert 26.49 <= ang.degrees <= 26.5
+    assert 26.49 <= theta <= 26.5
 
 
-def test_minimize_interval_wraps(double):
-    # hi below lo means the range passes the 180 -> 0 seam
-    ang, val = minimize_interval(double, 170.0, 20.0)
+def test_sweep_span_wraps(double):
+    # hi past 180 means the range passes the 180 -> 0 seam
+    _, theta, val, _ = rotor._sweep(double, [(170.0, 200.0)])
+    ang = Angle(theta)
     assert val == pytest.approx(1.0226248968307055, abs=1e-9)
     assert ang.degrees == pytest.approx(20.0, abs=1e-3)
     fresh = solve_theta(double, ang).tour.length
     assert fresh == pytest.approx(val, abs=1e-9)
 
 
-def test_minimize_interval_narrower_than_refine_tol():
+def test_sweep_span_narrower_than_refine_tol():
     P = spiral_corridor(1)
-    theta, length = minimize_interval(P, 20.0, 20.0 + 5e-7)
+    _, x, length, _ = rotor._sweep(P, [(20.0, 20.0 + 5e-7)])
+    theta = Angle(x)
     assert theta.degrees == 20.00000025
     assert length == 57.34039521165123
     assert length == solve_theta(P, theta).tour.length
-
-
-def test_minimize_interval_rejects_empty(double):
-    with pytest.raises(GeometryError):
-        minimize_interval(double, 40.0, 40.0)
-
-
-@pytest.mark.parametrize("lo, hi, name", [
-    (math.nan, 10.0, "lo"), (0.0, math.inf, "hi"),
-    (-math.inf, 10.0, "lo"), (0.0, math.nan, "hi")])
-def test_minimize_interval_rejects_non_finite_bounds(double, lo, hi, name):
-    with pytest.raises(GeometryError, match=f"bound {name} must be finite"):
-        minimize_interval(double, lo, hi)
-
-
-def test_refine_tol_below_float_spacing_terminates(double):
-    # bisection stops once its ends are adjacent floats; it used to spin
-    rep = optimize(double, SweepConfig(refine_tol_deg=1e-300))
-    assert rep.best_length == 0.0
-    hidden = sorted(round(e.angle_deg, 4) for e in rep.events
-                    if e.type in (EventType.BENDING, EventType.CUDDLE))
-    assert hidden == [165.9637, 165.9665]
 
 
 def test_optimize_square(square):
@@ -889,16 +865,16 @@ def test_confirming_solve_overrules_a_wrong_read(monkeypatch):
     # disagrees, a note names the angle, and the true best wins
     P = spiral_corridor(1)
     spans = rotor._interval_list(P, enumerate_candidate_events(P))
-    state, theta, length, _ = rotor._sweep(P, spans, SweepConfig())
+    state, theta, length, _ = rotor._sweep(P, spans)
     runner_up = sorted(state.candidates, key=lambda c: c[1])[1][0]
     refine = rotor._refine_minimum
     evaluate = rotor.evaluate_close_tour
     lying = [False]
 
-    def refine_lying(P, a, b, start, tol, notes):
+    def refine_lying(P, a, b, start, notes):
         lying[0] = a <= runner_up <= b
         try:
-            return refine(P, a, b, start, tol, notes)
+            return refine(P, a, b, start, notes)
         finally:
             lying[0] = False
 
@@ -919,7 +895,7 @@ def test_flat_interval_skips_refinement(double, monkeypatch):
         raise AssertionError("refined although a flat interval exists")
 
     monkeypatch.setattr(rotor, "_refine_minimum", refuse)
-    ang, val = minimize_interval(double, 0.001, 75.9637)
+    _, _, val, _ = rotor._sweep(double, [(0.001, 75.9637)])
     assert val == 0.0
 
 
@@ -935,7 +911,7 @@ def test_refine_falls_back_at_a_hidden_bending():
     notes = []
     x, length = rotor._refine_minimum(
         P, 102.8, 102.95,
-        rotor._frozen_at(P, 102.9, solve_theta(P, Angle(102.9))), 1e-6, notes)
+        rotor._frozen_at(P, 102.9, solve_theta(P, Angle(102.9))), notes)
     assert len(notes) == 1
     assert "bracket (102.800000, 102.950000) deg" in notes[0]
     assert "inside certificate of vertex 13" in notes[0]
@@ -947,7 +923,7 @@ def test_refine_falls_back_at_a_hidden_bending():
     notes = []
     x, length = rotor._refine_minimum(
         P, 12.6, 12.8,
-        rotor._frozen_at(P, 12.65, solve_theta(P, Angle(12.65))), 1e-6, notes)
+        rotor._frozen_at(P, 12.65, solve_theta(P, Angle(12.65))), notes)
     assert len(notes) == 1
     assert "press certificate of vertex 14" in notes[0]
     grid = min(solve_theta(P, Angle(12.6 + 0.2 * k / 40)).tour.length
@@ -978,7 +954,7 @@ def test_signature_constant_inside_intervals(spiral):
 
 def test_optimize_is_deterministic(double):
     a = optimize(double)
-    b = optimize(double, SweepConfig())
+    b = optimize(double)
     assert a.best_theta.degrees == b.best_theta.degrees
     assert a.best_length == b.best_length
     assert [e.sort_key() for e in a.events] == [e.sort_key() for e in b.events]
@@ -997,7 +973,7 @@ def test_scan_matches_reference_samples_and_intervals(scan_pairs):
 
 
 def test_scan_matches_reference_events(scan_pairs):
-    tol = SweepConfig().refine_tol_deg
+    tol = rotor.REFINE_TOL_DEG
     for label, (_, (ref, _), (new, _)) in scan_pairs.items():
         got = sorted(new.detected, key=lambda e: e.angle_deg)
         want = sorted(ref.detected, key=lambda e: e.angle_deg)
@@ -1043,13 +1019,12 @@ def test_evaluator_matches_reference(rotor_sweeps):
 def test_audit_mismatch_falls_back_to_full_solves(double, monkeypatch):
     # every frozen length reads a little long: each clean interval's
     # audit solve disagrees, and the interval is scanned by full solves
-    cfg = SweepConfig()
-    ref, _ = _reference_sweep(double, cfg)
+    ref, _ = _reference_sweep(double)
     evaluate = rotor.evaluate_close_tour
     monkeypatch.setattr(rotor, "evaluate_close_tour",
                         lambda S, eps: evaluate(S, eps) * (1 + 1e-6) + 1e-6)
     spans = rotor._interval_list(double, enumerate_candidate_events(double))
-    state, _, best, _ = rotor._sweep(double, spans, cfg)
+    state, _, best, _ = rotor._sweep(double, spans)
     audits = [n for n in state.notes if "audit" in n]
     assert audits and all("gives length" in n for n in audits)
     assert sorted(state.intervals) == sorted(ref.intervals)

@@ -225,7 +225,8 @@ def test_essential_edges_survive_triangulation(double):
 
 def test_unroll_degenerate_without_essential_edges(square):
     rp = _reduced(square, 70.0)
-    S = unroll(rp, triangulate(rp), square.vertices[0])
+    S = unroll(rp, triangulate(rp),
+               rp.polygon.find_vertex(square.vertices[0]))
     assert len(S.mirrors) == 0
     assert tuple(S.source) == tuple(S.image)
     path = shortest_path(S)
@@ -234,7 +235,7 @@ def test_unroll_degenerate_without_essential_edges(square):
 
 def test_unroll_double_from_lower_gate_vertex(double):
     rp = _reduced(double, 0.0)
-    S = unroll(rp, triangulate(rp), Point(2.0, 2.0))
+    S = unroll(rp, triangulate(rp), rp.polygon.find_vertex(Point(2.0, 2.0)))
     assert len(S.mirrors) == 2
     assert math.dist(S.source, S.image) == pytest.approx(4.0, abs=1e-12)
     # the image is the double reflection of the source
@@ -244,7 +245,7 @@ def test_unroll_double_from_lower_gate_vertex(double):
 
 def test_unroll_unotch_collinear_mirrors(unotch):
     rp = _reduced(unotch, 0.0)
-    S = unroll(rp, triangulate(rp), Point(4.0, 2.0))
+    S = unroll(rp, triangulate(rp), rp.polygon.find_vertex(Point(4.0, 2.0)))
     assert math.dist(S.source, S.image) <= 1e-12
 
 
@@ -260,7 +261,7 @@ def test_panel_count_bound():
             if len(rp.essential) < 2:
                 continue
             for v in cands:
-                S = unroll(rp, tri, v)
+                S = unroll(rp, tri, rp.polygon.find_vertex(v))
                 # a sleeve has one portal fewer than panels
                 assert len(S.portals) + 1 <= 6 * len(tri.triangles)
                 checked += 1
@@ -497,7 +498,7 @@ def test_unroll_and_shortest_path_match_reference():
         rp, tri, cands = solve_stages(P, res)
         for v in cands:
             want = _reference_unroll(rp, tri, v)
-            got = unroll(rp, tri, v)
+            got = unroll(rp, tri, rp.polygon.find_vertex(v))
             # repr tells -0.0 from 0.0 and prints every float exactly
             for name in ("portals", "mirrors", "transforms",
                          "image", "source", "source_index", "gates"):
@@ -515,7 +516,7 @@ def test_shortest_path_double_bends_at_chord_end(double):
     """The straight segment from (2,2) to its image leaves the sleeve;
     the funnel bends at the unrolled copy of (2.5,4)."""
     rp = _reduced(double, 0.0)
-    S = unroll(rp, triangulate(rp), Point(2.0, 2.0))
+    S = unroll(rp, triangulate(rp), rp.polygon.find_vertex(Point(2.0, 2.0)))
     path = shortest_path(S)
     assert len(path) == 3
     assert sum(map(math.dist, path, path[1:])) == pytest.approx(
@@ -527,7 +528,7 @@ def test_shortest_path_double_bends_at_chord_end(double):
 
 def test_fold_back_point_tour(unotch):
     rp = _reduced(unotch, 0.0)
-    S = unroll(rp, triangulate(rp), Point(4.0, 2.0))
+    S = unroll(rp, triangulate(rp), rp.polygon.find_vertex(Point(4.0, 2.0)))
     tour = fold_back(S, shortest_path(S))
     assert tour.length == 0.0
     assert len(tour.cycle) == 1
@@ -546,7 +547,7 @@ def test_fold_back_isometry_and_shortest_choice():
                 continue
             best = math.inf
             for v in cands:
-                S = unroll(rp, tri, v)
+                S = unroll(rp, tri, rp.polygon.find_vertex(v))
                 path = shortest_path(S)
                 tour = fold_back(S, path)
                 path_len = sum(map(math.dist, path, path[1:]))
@@ -747,7 +748,7 @@ def test_fold_back_matches_reference_tags(corpus_solves):
             continue
         rp, tri, cands = solve_stages(P, res)
         for v, rival in zip(cands, res.rivals):
-            S = unroll(rp, tri, v)
+            S = unroll(rp, tri, rp.polygon.find_vertex(v))
             path = shortest_path(S)
             want = _reference_fold_back(S, path)
             got = fold_back(S, path)
