@@ -5,9 +5,13 @@ rather than against the solver: coverage is re-derived from raw cuts,
 and the reference minimum first looks for one point in every cut's
 closed left region, a tour of length 0, among the finitely many points
 where such a point must exist if any does.  Only when there is none
-does it discretize the gate chords, build one segment mask per
-unordered pair of chords, and run a min-plus chain product over
-candidate visiting orders.  numpy is confined to this module.
+does it discretize the gate chords.  With two gates the tour runs
+there and back along one straight join, so the chord-sample pairs are
+decided nearest first and the search stops at the first that stays
+inside; otherwise, and when none of the nearest does, it builds one
+segment mask per unordered pair of chords and runs a min-plus chain
+product over candidate visiting orders.  numpy is confined to this
+module.
 """
 
 from __future__ import annotations
@@ -165,6 +169,10 @@ def _common_point(P: Polygon, cuts: Sequence[ThetaCut]) -> Optional[Point]:
     return None
 
 
+def _grid_point(row: np.ndarray) -> Point:
+    return Point(float(row[0]), float(row[1]))
+
+
 def _chord_samples(cut: ThetaCut, m: int) -> np.ndarray:
     a, b = cut.chord.a, cut.chord.b
     t = np.linspace(0.0, 1.0, m)
@@ -172,20 +180,32 @@ def _chord_samples(cut: ThetaCut, m: int) -> np.ndarray:
 
 
 def _segment_mask(P: Polygon, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Which straight segments A[i] -> B[j] stay inside the polygon.
+    """Which straight segments A[i] -> B[j] stay inside the polygon."""
+    return _segments_inside(P, A[:, 0][:, None], A[:, 1][:, None],
+                            B[:, 0][None, :], B[:, 1][None, :])
+
+
+def _segments_inside(P: Polygon, Ax: np.ndarray, Ay: np.ndarray,
+                     Bx: np.ndarray, By: np.ndarray) -> np.ndarray:
+    """Which straight segments (Ax, Ay) -> (Bx, By) stay inside the
+    polygon, over the broadcast shape of the four coordinate arrays.
+
+    `_segment_mask` passes a column of A against a row of B to decide a
+    grid; the two-gate search passes 1-D arrays of paired ends.  Every
+    element runs the same arithmetic in either shape.
 
     A segment is refused when it properly crosses an edge, or when its
     midpoint lies outside the polygon and farther than 10·TAU_ONEDGE
     from every edge.  Edges that cannot change the mask are skipped,
-    and each skip is exact, so the mask equals the one that tests every
-    edge against every segment:
+    and each skip is exact for any set of segments, so the mask equals
+    the one that tests every edge against every segment:
 
     - Crossing: a segment properly crosses edge k only where
-      d1[i]·d2[j] < −1e-12.  Rounded multiplication is monotone in each
-      factor, so the smallest of these products is one of the four
-      products of the extremes of d1 and d2; when that corner minimum
-      is ≥ −1e-12 no segment crosses edge k and its o1/o2 work is
-      skipped.
+      d1·d2 < −1e-12, with d1 and d2 its ends' sides of the edge.
+      Rounded multiplication is monotone in each factor, so no product
+      is below the smallest of the four products of the extremes of d1
+      and d2; when that corner minimum is ≥ −1e-12 no segment crosses
+      edge k and its o1/o2 work is skipped.
     - Ray cast: an edge toggles `inside` only where exactly one of its
       ends lies above the midpoint's y.  An edge with both ends above
       My.max(), or both at or below My.min(), toggles no midpoint.
@@ -194,55 +214,50 @@ def _segment_mask(P: Polygon, A: np.ndarray, B: np.ndarray) -> np.ndarray:
       midpoints alone.
     """
     verts = np.array(P.vertices)
-    E0 = verts
-    E1 = np.roll(verts, -1, axis=0)
-    mA = A.shape[0]
-    mB = B.shape[0]
-    ok = np.ones((mA, mB), dtype=bool)
-    Ax = A[:, 0][:, None]
-    Ay = A[:, 1][:, None]
-    Bx = B[:, 0][None, :]
-    By = B[:, 1][None, :]
+    n = len(verts)
+    PX, PY = verts[:, 0], verts[:, 1]
+    QX, QY = np.roll(PX, -1), np.roll(PY, -1)
     dx = Bx - Ax
     dy = By - Ay
-    for k in range(len(verts)):
-        px, py = E0[k]
-        qx, qy = E1[k]
-        ex = qx - px
-        ey = qy - py
-        d1 = ex * (Ay - py) - ey * (Ax - px)
-        d2 = ex * (By - py) - ey * (Bx - px)
-        lo1, hi1 = d1.min(), d1.max()
-        lo2, hi2 = d2.min(), d2.max()
-        if min(lo1 * lo2, lo1 * hi2, hi1 * lo2, hi1 * hi2) >= -1e-12:
-            continue
+    ok = np.ones(dx.shape, dtype=bool)
+    # every end's side of every edge at once, one edge per leading row
+    lead = (n,) + (1,) * dx.ndim
+    px, py = PX.reshape(lead), PY.reshape(lead)
+    ex, ey = QX.reshape(lead) - px, QY.reshape(lead) - py
+    D1 = ex * (Ay - py) - ey * (Ax - px)
+    D2 = ex * (By - py) - ey * (Bx - px)
+    lo1, hi1 = D1.reshape(n, -1).min(axis=1), D1.reshape(n, -1).max(axis=1)
+    lo2, hi2 = D2.reshape(n, -1).min(axis=1), D2.reshape(n, -1).max(axis=1)
+    corner = np.minimum(np.minimum(lo1 * lo2, lo1 * hi2),
+                        np.minimum(hi1 * lo2, hi1 * hi2))
+    for k in np.flatnonzero(corner < -1e-12):
+        px, py, qx, qy = PX[k], PY[k], QX[k], QY[k]
         o1 = dx * (py - Ay) - dy * (px - Ax)
         o2 = dx * (qy - Ay) - dy * (qx - Ax)
-        proper = (d1 * d2 < -1e-12) & (o1 * o2 < -1e-12)
+        proper = (D1[k] * D2[k] < -1e-12) & (o1 * o2 < -1e-12)
         ok &= ~proper
     # midpoints must not fall outside (catches segments through notches
     # that only touch the boundary at vertices)
     Mx = (Ax + Bx) / 2.0
     My = (Ay + By) / 2.0
     ylo, yhi = My.min(), My.max()
-    inside = np.zeros((mA, mB), dtype=bool)
-    for k in range(len(verts)):
-        px, py = E0[k]
-        qx, qy = E1[k]
-        if (py > yhi and qy > yhi) or (py <= ylo and qy <= ylo):
-            continue
+    inside = np.zeros(ok.shape, dtype=bool)
+    level = ~(((PY > yhi) & (QY > yhi)) | ((PY <= ylo) & (QY <= ylo)))
+    for k in np.flatnonzero(level):
+        px, py, qx, qy = PX[k], PY[k], QX[k], QY[k]
         cond = (py > My) != (qy > My)
         with np.errstate(divide="ignore", invalid="ignore"):
             xcross = px + (My - py) * (qx - px) / (qy - py)
         inside ^= cond & (Mx < xcross)
     # distance of the remaining midpoints to each edge
     open_ = ok & ~inside
+    if not open_.any():
+        return ok
     Mx = Mx[open_]
     My = My[open_]
     near = np.zeros(Mx.shape, dtype=bool)
-    for k in range(len(verts)):
-        px, py = E0[k]
-        qx, qy = E1[k]
+    for k in range(n):
+        px, py, qx, qy = PX[k], PY[k], QX[k], QY[k]
         ex = qx - px
         ey = qy - py
         L2 = ex * ex + ey * ey
@@ -253,6 +268,40 @@ def _segment_mask(P: Polygon, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         near |= (ddx * ddx + ddy * ddy) <= (10 * TAU_ONEDGE) ** 2
     ok[open_] = near
     return ok
+
+
+def _distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    return np.hypot(A[:, 0][:, None] - B[:, 0][None, :],
+                    A[:, 1][:, None] - B[:, 1][None, :])
+
+
+def _nearest_inside(P: Polygon, A: np.ndarray, B: np.ndarray,
+                    d: np.ndarray) -> Optional[Tuple[int, int]]:
+    """The row-major-first (i, j) of least d[i, j] whose segment
+    A[i] -> B[j] stays inside P, or None when none of about the nearest
+    1,024 pairs does.
+
+    Each round decides the pairs not yet decided whose distance is at
+    most the one at a fixed rank: the least distance, then the 1,024th.
+    A round that finds a segment inside has decided every pair at the
+    least distance found, ties included, and every nearer pair before
+    it, so its pick is the grid's.
+    """
+    flat = d.ravel()
+    decided = -np.inf
+    for rank in (0, 1023):
+        rank = min(rank, flat.size - 1)
+        t = np.partition(flat, rank)[rank] if rank else flat.min()
+        sel = np.flatnonzero((flat > decided) & (flat <= t))
+        decided = t
+        if not sel.size:
+            continue
+        i, j = np.divmod(sel, d.shape[1])
+        hit = sel[_segments_inside(P, A[i, 0], A[i, 1], B[j, 0], B[j, 1])]
+        if hit.size:
+            best = hit[np.argmin(flat[hit])]
+            return divmod(int(best), d.shape[1])
+    return None
 
 
 def _minplus(D: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -274,11 +323,16 @@ def reference_min_tour(P: Polygon, theta: Union[Angle, float],
     slack 0 and an empty order.
 
     Otherwise touch points are restricted to a grid on each gate chord,
-    and consecutive touch points join by straight segments masked to
-    stay inside the polygon.  Each unordered pair of chords gets one
-    mask, and the reverse direction is its transpose.  All cyclic
-    visiting orders are tried.  The result length is an upper bound on
-    the true optimum; `slack` bounds how far above the optimum the grid
+    and consecutive touch points join by straight segments that stay
+    inside the polygon.  With two gates the tour is twice one join, so
+    the sample pairs are decided in order of distance
+    (`_nearest_inside`) and the nearest inside, the first in row-major
+    order among equals, is the answer.  With more gates, or when none
+    of about the nearest 1,024 pairs stays inside, each unordered pair
+    of chords gets one mask, the reverse direction is its transpose,
+    and all cyclic visiting orders are tried; two gates then give the
+    same pick.  The result length is an upper bound on the true
+    optimum; `slack` bounds how far above the optimum the grid
     restriction alone can push it.  `m`, the number of samples per
     chord, must be an integer ≥ 2.  More than `MAX_GATES` gates are
     refused.
@@ -298,20 +352,29 @@ def reference_min_tour(P: Polygon, theta: Union[Angle, float],
     grids = [_chord_samples(g, m) for g in gates]
     slack = sum(c.length() / (m - 1) for c in chords)
 
+    dists: dict = {}
     masks: dict = {}
 
     def cost(i: int, j: int) -> np.ndarray:
-        if i > j:
-            return cost(j, i).T
-        key = (i, j)
+        # not recursive: a closure that calls itself is a reference cycle
+        # and keeps its masks alive until the cyclic GC runs
+        key = (min(i, j), max(i, j))
         if key not in masks:
-            A, B = grids[i], grids[j]
-            d = np.hypot(A[:, 0][:, None] - B[:, 0][None, :],
-                         A[:, 1][:, None] - B[:, 1][None, :])
+            A, B = grids[key[0]], grids[key[1]]
+            d = dists[key] if key in dists else _distances(A, B)
             mask = _segment_mask(P, A, B)
-            d = np.where(mask, d, np.inf)
-            masks[key] = d
-        return masks[key]
+            masks[key] = np.where(mask, d, np.inf)
+        return masks[key] if i < j else masks[key].T
+
+    if K == 2:
+        # the tour is d + d, so the grid's pick is the nearest pair
+        d = dists[0, 1] = _distances(grids[0], grids[1])
+        hit = _nearest_inside(P, grids[0], grids[1], d)
+        if hit is not None:
+            i, j = hit
+            return ReferenceResult(float(d[i, j] + d[i, j]), slack, (0, 1),
+                                   (_grid_point(grids[0][i]),
+                                    _grid_point(grids[1][j])))
 
     seen = set()
     orders = []
@@ -346,7 +409,7 @@ def reference_min_tour(P: Polygon, theta: Union[Angle, float],
                 picks.append(int(np.argmin(prev + step)))
             picks.append(int(start))
             picks.reverse()
-            best_points = tuple(Point(*grids[order[s]][picks[s]])
+            best_points = tuple(_grid_point(grids[order[s]][picks[s]])
                                 for s in range(K))
     if math.isinf(best):
         raise GeometryError("no feasible straight-line tour on the grid")

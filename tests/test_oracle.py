@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from monowatch import Angle, GeometryError, oracle, solve_theta
-from monowatch.cuts import CutKind
+from monowatch.cuts import CutKind, compute_cuts
+from monowatch.gates import compute_gates
 from monowatch.geom import (
     TAU_ONEDGE,
     Point,
@@ -110,6 +112,7 @@ def test_reference_matches_exact_double(double):
     assert ref.length == pytest.approx(4.000028408272647, abs=1e-9)
     assert ref.slack == pytest.approx(0.035175879396984924, abs=1e-12)
     assert ref.order == (0, 1)
+    assert all(type(c) is float for p in ref.points for c in p)
     exact = solve_theta(double, Angle(0.0)).tour.length
     assert exact <= ref.length + 1e-12
     assert ref.length <= exact + ref.slack
@@ -168,16 +171,17 @@ def test_reference_brackets_solver_on_notched():
 
 def test_reference_brackets_solver_on_mixed_corpus(monkeypatch):
     """On the mixed corpus the reference brackets the solver wherever it
-    answers; a point tour's witness validates; and a grid case builds
-    one mask per unordered pair of gates."""
-    mask = oracle._segment_mask
+    answers; a point tour's witness validates; a grid case decides each
+    unordered pair of gates in one direction only, and with three or
+    more gates builds one mask per pair."""
+    inside = oracle._segments_inside
     calls = []
 
-    def spy(P, A, B):
-        calls.append(1)
-        return mask(P, A, B)
+    def spy(P, Ax, Ay, Bx, By):
+        calls.append((Ax, Ay, Bx, By))
+        return inside(P, Ax, Ay, Bx, By)
 
-    monkeypatch.setattr(oracle, "_segment_mask", spy)
+    monkeypatch.setattr(oracle, "_segments_inside", spy)
     points = grids = 0
     for i, P in enumerate(mixed_corpus(200)):
         th = random.Random(i).uniform(0.0, 180.0)
@@ -194,10 +198,27 @@ def test_reference_brackets_solver_on_mixed_corpus(monkeypatch):
             assert validate_tour(P, Angle(th), ref.points).valid, (i, th)
             assert calls == []
             points += 1
+            continue
+        K = len(ref.order)
+        samples = [set(map(tuple, oracle._chord_samples(g, 200).tolist()))
+                   for g in compute_gates(P, compute_cuts(P, Angle(th)))]
+
+        def gate(xs, ys):
+            ends = set(zip(xs.ravel().tolist(), ys.ravel().tolist()))
+            return next(k for k, s in enumerate(samples) if ends <= s)
+
+        pairs = {(gate(Ax, Ay), gate(Bx, By)) for Ax, Ay, Bx, By in calls}
+        assert not any((b, a) in pairs for a, b in pairs), (i, th)
+        masks = [c for c in calls if c[0].ndim == 2]
+        if K == 2:
+            # the nearest-first rounds decide disjoint sets of segments
+            segs = [seg for c in calls if c[0].ndim == 1
+                    for seg in zip(*(v.tolist() for v in c))]
+            assert len(segs) == len(set(segs)), (i, th)
+            assert len(masks) <= 1, (i, th)
         else:
-            K = len(ref.order)
-            assert len(calls) == K * (K - 1) // 2, (i, th)
-            grids += 1
+            assert len(masks) == len(calls) == K * (K - 1) // 2, (i, th)
+        grids += 1
     assert points >= 140
     assert grids >= 35
 
@@ -342,19 +363,143 @@ def test_segment_mask_equals_unpruned_mask(data):
                           _reference_segment_mask(P, A, B))
 
 
-def _reference_answer(P: Polygon, theta: float):
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_segment_pairs_equal_grid_entries(data):
+    """The mask's one predicate gives each segment the same answer
+    whether it is decided on a grid or among paired ends."""
+    P = data.draw(st.sampled_from(MASK_POLYGONS), label="polygon")
+    A = _mask_points(P, data.draw, "A")
+    B = _mask_points(P, data.draw, "B")
+    pair = st.tuples(st.integers(0, len(A) - 1), st.integers(0, len(B) - 1))
+    i, j = np.array(data.draw(st.lists(pair, min_size=1, max_size=20),
+                              label="pairs")).T
+    got = oracle._segments_inside(P, A[i, 0], A[i, 1], B[j, 0], B[j, 1])
+    assert got.tolist() == oracle._segment_mask(P, A, B)[i, j].tolist()
+
+
+def _full_grid_min_tour(P: Polygon, theta, m: int = 200):
+    """The reference as it was before the nearest-first two-gate search,
+    on the unpruned mask: every gate pair decided on the full grid, and
+    every order run through the min-plus chain."""
+    oracle._check_count("m", m)
+    ang = theta if isinstance(theta, Angle) else Angle(theta)
+    cuts = compute_cuts(P, ang)
+    witness = oracle._common_point(P, cuts)
+    if witness is not None:
+        return oracle.ReferenceResult(0.0, 0.0, (), (witness,))
+    gates = compute_gates(P, cuts)
+    K = len(gates)
+    if K > oracle.MAX_GATES:
+        raise GeometryError(f"reference oracle capped at {oracle.MAX_GATES} "
+                            f"gates, got {K}")
+    chords = [g.chord for g in gates]
+    grids = [oracle._chord_samples(g, m) for g in gates]
+    slack = sum(c.length() / (m - 1) for c in chords)
+
+    masks: dict = {}
+
+    def cost(i: int, j: int) -> np.ndarray:
+        if i > j:
+            return cost(j, i).T
+        key = (i, j)
+        if key not in masks:
+            A, B = grids[i], grids[j]
+            d = np.hypot(A[:, 0][:, None] - B[:, 0][None, :],
+                         A[:, 1][:, None] - B[:, 1][None, :])
+            mask = _reference_segment_mask(P, A, B)
+            d = np.where(mask, d, np.inf)
+            masks[key] = d
+        return masks[key]
+
+    seen = set()
+    orders = []
+    for rest in itertools.permutations(range(1, K)):
+        o = (0,) + rest
+        canon = min(o, (0,) + tuple(reversed(rest)))
+        if canon not in seen:
+            seen.add(canon)
+            orders.append(o)
+
+    best = math.inf
+    best_order: tuple = ()
+    best_points: tuple = ()
+    for order in orders:
+        D = cost(order[0], order[1])
+        trace = [D]
+        for s in range(1, K - 1):
+            D = oracle._minplus(D, cost(order[s], order[s + 1]))
+            trace.append(D)
+        total = D + cost(order[K - 1], order[0]).T
+        idx = np.unravel_index(np.argmin(total), total.shape)
+        val = float(total[idx])
+        if val < best:
+            best = val
+            best_order = order
+            start, end = idx
+            # recover intermediate touch points by backtracking
+            picks = [int(end)]
+            for s in range(K - 2, 0, -1):
+                prev = trace[s - 1][start]
+                step = cost(order[s], order[s + 1])[:, picks[-1]]
+                picks.append(int(np.argmin(prev + step)))
+            picks.append(int(start))
+            picks.reverse()
+            best_points = tuple(Point(*grids[order[s]][picks[s]])
+                                for s in range(K))
+    if math.isinf(best):
+        raise GeometryError("no feasible straight-line tour on the grid")
+    return oracle.ReferenceResult(best, slack, best_order, best_points)
+
+
+def _answer(search, P: Polygon, theta: float, m: int = 60):
     try:
-        ref = reference_min_tour(P, Angle(theta), m=60)
+        ref = search(P, Angle(theta), m=m)
     except GeometryError as exc:
         return str(exc)
     return ref.length, ref.slack, ref.order, ref.points
 
 
-def test_reference_answers_equal_unpruned_mask(monkeypatch):
+def test_reference_answers_equal_unpruned_mask():
+    """The pruned mask and the nearest-first two-gate search give every
+    answer of the full-grid search on the unpruned mask."""
     cases = [(P, random.Random(i).uniform(0.0, 180.0))
              for i, P in enumerate(mixed_corpus(200))]
     cases += [(spiral_corridor(s), th)
               for s in range(8) for th in (10.0, 40.0, 130.0)]
-    pruned = [_reference_answer(P, th) for P, th in cases]
-    monkeypatch.setattr(oracle, "_segment_mask", _reference_segment_mask)
-    assert pruned == [_reference_answer(P, th) for P, th in cases]
+    assert ([_answer(reference_min_tour, P, th) for P, th in cases]
+            == [_answer(_full_grid_min_tour, P, th) for P, th in cases])
+
+
+# ---------------------------------------------------------------------------
+# open defects of the straight-join reference (ROADMAP item 1)
+
+# mixed_corpus(200)[129] at this angle: the best straight join must bend
+LOOSE_INDEX, LOOSE_DEG = 129, 145.0
+
+
+def test_reference_loose_case_is_the_full_grid_answer():
+    P = mixed_corpus(LOOSE_INDEX + 1)[LOOSE_INDEX]
+    got = _answer(reference_min_tour, P, LOOSE_DEG, m=200)
+    assert got == _answer(_full_grid_min_tour, P, LOOSE_DEG, m=200)
+    assert got[0] == 9.537090771079605
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1: a straight join cannot bend at "
+                          "a reflex vertex, so the answer is loose here")
+def test_reference_lower_bound_where_the_join_must_bend():
+    P = mixed_corpus(LOOSE_INDEX + 1)[LOOSE_INDEX]
+    ref = reference_min_tour(P, Angle(LOOSE_DEG), m=200)
+    exact = solve_theta(P, Angle(LOOSE_DEG)).tour.length
+    assert ref.length - ref.slack <= exact
+
+
+@pytest.mark.xfail(strict=True, raises=GeometryError,
+                   reason="ROADMAP item 1: straight joins find no feasible "
+                          "three-gate tour on the grid")
+def test_reference_answers_three_gates(threegate):
+    ang = Angle(THREE_GATE_DEG[10])
+    ref = reference_min_tour(threegate, ang, m=60)
+    exact = solve_theta(threegate, ang).tour.length
+    assert ref.length - ref.slack <= exact <= ref.length + 1e-9
